@@ -174,6 +174,8 @@ def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
             raise ValidationError(f"object record missing field: {exc}") from exc
         if not isinstance(oid, str):
             raise ValidationError(f"object id {oid!r} is not a string")
+        if not isinstance(raw_instances, list):
+            raise ValidationError(f"object {oid!r}: instances must be an array")
         instances = []
         for idx, inst in enumerate(raw_instances):
             try:
@@ -191,7 +193,7 @@ def loads_database(text: Union[str, bytes]) -> UncertainDatabase:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed dataset JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "objects" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("objects"), list):
         raise ValidationError('dataset JSON must be an object with an "objects" array')
     return database_from_dicts(doc["objects"])
 

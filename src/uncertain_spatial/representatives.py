@@ -117,11 +117,29 @@ class Representative:
 
 
 def _distance_matrix(pr: Sequence[PossibleResult]) -> np.ndarray:
-    m = len(pr)
-    dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = dist[j, i] = jaccard_distance(pr[i].result, pr[j].result)
+    """Pairwise Jaccard distances, equal to ``jaccard_distance`` on every pair.
+
+    Intersections come from one product of the result-by-object incidence
+    matrix; intersection and union sizes are exact small integers, so the
+    quotient rounds exactly as the set-based computation does.
+    """
+    column = {}
+    rows, cols = [], []
+    for i, r in enumerate(pr):
+        for oid in r.result.members:
+            rows.append(i)
+            cols.append(column.setdefault(oid, len(column)))
+    incidence = np.zeros((len(pr), len(column)))
+    incidence[rows, cols] = 1.0
+    sizes = incidence.sum(axis=1)
+    dist = incidence @ incidence.T  # intersection sizes, turned into distances in place
+    union = np.add.outer(sizes, sizes)
+    union -= dist
+    both_empty = union == 0
+    union[both_empty] = 1.0
+    dist /= union
+    np.subtract(1.0, dist, out=dist)
+    dist[both_empty] = 0.0
     return dist
 
 
@@ -164,22 +182,18 @@ def max_cover_representatives(
     supports = np.array([r.support for r in pr], dtype=np.int64)
     n_samples = int(supports.sum())
     dist = _distance_matrix(pr)
+    within = dist <= tau
     uncovered = np.ones(len(pr), dtype=bool)
     chosen: List[Representative] = []
     for _ in range(n):
         if not uncovered.any():
             break
-        best, best_gain = None, -1
-        for i in range(len(pr)):
-            gain = int(supports[uncovered & (dist[i] <= tau)].sum())
-            if gain > best_gain or (
-                gain == best_gain and best is not None and pr[i].result < pr[best].result
-            ):
-                best, best_gain = i, gain
+        gains = within @ np.where(uncovered, supports, 0)
+        best = min(np.flatnonzero(gains == gains.max()), key=lambda i: pr[i].result)
         chosen.append(
-            _make_representative(pr, dist, supports, n_samples, best, tau, alpha)
+            _make_representative(pr, dist, supports, n_samples, int(best), tau, alpha)
         )
-        uncovered &= ~(dist[best] <= tau)
+        uncovered &= ~within[best]
     return chosen
 
 

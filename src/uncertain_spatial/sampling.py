@@ -14,8 +14,9 @@ because objects are independent.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Union
 
 import numpy as np
@@ -52,18 +53,45 @@ def _uniforms(streams: np.ndarray, counter: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A multiset of independently sampled possible worlds.
+    """A multiset of n independently sampled possible worlds.
 
-    ``choices[i, j]`` is the instance index drawn for object j (database
-    order) in sample i, or -1 when the object is absent.
+    Object j's column (its branch in every sample) is drawn on demand by
+    ``column(j)``; since a column depends only on (seed, sample index, j),
+    a query that reads a few columns sees exactly the worlds that drawing
+    every column would give.
     """
 
     db: UncertainDatabase
     seed: int
-    choices: np.ndarray
+    n: int
 
     def __len__(self) -> int:
-        return self.choices.shape[0]
+        return self.n
+
+    @cached_property
+    def _streams(self) -> np.ndarray:
+        return _substreams(self.seed, self.n)
+
+    def column(self, j: int) -> np.ndarray:
+        """Instance index drawn for object j (database order) per sample; -1 when absent."""
+        obj = self.db.objects[j]
+        cum = np.cumsum([inst.prob for inst in obj.instances])
+        idx = np.searchsorted(cum, _uniforms(self._streams, j), side="right")
+        if obj.is_existentially_uncertain:
+            idx[idx == len(obj.instances)] = -1  # absence branch
+        else:
+            # guard against float round-off in the cumulative sum
+            idx[idx == len(obj.instances)] = len(obj.instances) - 1
+        return idx
+
+    @cached_property
+    def choices(self) -> np.ndarray:
+        """``choices[i, j]`` is ``column(j)[i]``: every column, materialized."""
+        choices = np.empty((self.n, len(self.db)), dtype=np.int32)
+        for j in range(len(self.db)):
+            choices[:, j] = self.column(j)
+        choices.flags.writeable = False
+        return choices
 
     def worlds(self) -> Iterator[PossibleWorld]:
         """Materialize the samples as possible worlds (probabilities recomputed)."""
@@ -92,20 +120,7 @@ def sample_worlds(db: UncertainDatabase, n: int, seed: int = 42) -> SampleSet:
     """Draw n independent worlds; identical (db, n-prefix, seed) gives identical samples."""
     if n < 1:
         raise ValidationError("sample count must be at least 1")
-    streams = _substreams(seed, n)
-    choices = np.empty((n, len(db)), dtype=np.int16)
-    for j, obj in enumerate(db.objects):
-        cum = np.cumsum([inst.prob for inst in obj.instances])
-        u = _uniforms(streams, j)
-        idx = np.searchsorted(cum, u, side="right")
-        if obj.is_existentially_uncertain:
-            idx[idx == len(obj.instances)] = -1  # absence branch
-        else:
-            # guard against float round-off in the cumulative sum
-            idx[idx == len(obj.instances)] = len(obj.instances) - 1
-        choices[:, j] = idx
-    choices.flags.writeable = False
-    return SampleSet(db=db, seed=seed, choices=choices)
+    return SampleSet(db=db, seed=seed, n=n)
 
 
 def _query_columns(X: SampleSet, q: Union[QueryPoint, str]):
@@ -123,8 +138,24 @@ def _query_columns(X: SampleSet, q: Union[QueryPoint, str]):
     return None, [q.position]
 
 
+def _distance_table(q_positions, obj) -> np.ndarray:
+    """Distance per (query position, object instance); the last column (absent) is +inf."""
+    table = np.full((len(q_positions), len(obj.instances) + 1), np.inf)
+    for qi, qp in enumerate(q_positions):
+        for ii, inst in enumerate(obj.instances):
+            table[qi, ii] = euclidean_distance(qp, inst.position)
+    return table
+
+
 def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
     """Boolean membership per (sample, object), columns in sorted-id order.
+
+    Only objects that are members in some world have their columns drawn;
+    the others stay all-False.  For kNN, ``bound`` is the k-th smallest
+    farthest distance of a certainly-existing object, so every world has k
+    objects within it: an object always farther than ``bound`` is never a
+    member and never ranks ahead of one, and ranks among the kept columns
+    equal ranks among all of them.
 
     Returns (member matrix, sorted candidate ids).
     """
@@ -136,63 +167,51 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
     order = np.argsort(ids, kind="stable")
     cols = [cols[i] for i in order]
     ids = [ids[i] for i in order]
-
-    if q_col is None:
-        q_idx = np.zeros(n, dtype=np.int64)
-    else:
-        q_idx = X.choices[:, q_col].astype(np.int64)
+    tables = [_distance_table(q_positions, db.objects[j]) for j in cols]
 
     if isinstance(predicate, RangePredicate):
-        member = np.zeros((n, len(cols)), dtype=bool)
-        for out_j, j in enumerate(cols):
-            obj = db.objects[j]
-            # in-range lookup per (query instance, object instance); last row = absent
-            table = np.zeros((len(q_positions), len(obj.instances) + 1), dtype=bool)
-            for qi, qp in enumerate(q_positions):
-                for ii, inst in enumerate(obj.instances):
-                    table[qi, ii] = (
-                        euclidean_distance(qp, inst.position) <= predicate.epsilon
-                    )
-            member[:, out_j] = table[q_idx, X.choices[:, j].astype(np.int64)]
-        return member, ids
+        bound = predicate.epsilon
+    elif isinstance(predicate, KnnPredicate):
+        reach = sorted(
+            float(table[:, :-1].max())
+            for table, j in zip(tables, cols)
+            if not db.objects[j].is_existentially_uncertain
+        )
+        bound = reach[predicate.k - 1] if len(reach) >= predicate.k else math.inf
+    else:
+        raise ValidationError(f"unsupported spatial predicate {predicate!r}")
+    keep = [c for c, table in enumerate(tables) if table.min() <= bound]
 
-    if isinstance(predicate, KnnPredicate):
-        dist = np.empty((n, len(cols)))
-        for out_j, j in enumerate(cols):
-            obj = db.objects[j]
-            table = np.full((len(q_positions), len(obj.instances) + 1), np.inf)
-            for qi, qp in enumerate(q_positions):
-                for ii, inst in enumerate(obj.instances):
-                    table[qi, ii] = euclidean_distance(qp, inst.position)
-            dist[:, out_j] = table[q_idx, X.choices[:, j].astype(np.int64)]
+    q_idx = np.zeros(n, dtype=np.int64) if q_col is None else X.column(q_col)
+    dist = np.empty((n, len(keep)))
+    for out_j, c in enumerate(keep):
+        dist[:, out_j] = tables[c][q_idx, X.column(cols[c])]
+    if isinstance(predicate, RangePredicate):
+        kept = dist <= predicate.epsilon
+    else:
         # stable argsort on id-ordered columns realizes the (distance, id) tie rule
         order = np.argsort(dist, axis=1, kind="stable")
         ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(len(cols)), dist.shape), axis=1)
+        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(len(keep)), dist.shape), axis=1)
         existing = np.isfinite(dist)
         cutoff = np.minimum(predicate.k, existing.sum(axis=1))[:, None]
-        member = (ranks < cutoff) & existing
-        return member, ids
-
-    raise ValidationError(f"unsupported spatial predicate {predicate!r}")
+        kept = (ranks < cutoff) & existing
+    member = np.zeros((n, len(cols)), dtype=bool)
+    member[:, keep] = kept
+    return member, ids
 
 
 def _supports_from_membership(member: np.ndarray, ids: List[str]) -> List[PossibleResult]:
-    n_obj = len(ids)
-    if n_obj <= 63:
-        weights = (np.uint64(1) << np.arange(n_obj, dtype=np.uint64))
-        codes = (member.astype(np.uint64) * weights).sum(axis=1)
-        unique, counts = np.unique(codes, return_counts=True)
-        pairs = []
-        for code, count in zip(unique.tolist(), counts.tolist()):
-            members = tuple(ids[b] for b in range(n_obj) if (code >> b) & 1)
-            pairs.append(PossibleResult(ResultSet(members), int(count)))
-    else:
-        counter = Counter(tuple(np.nonzero(row)[0].tolist()) for row in member)
-        pairs = [
-            PossibleResult(ResultSet.of(ids[b] for b in key), int(count))
-            for key, count in counter.items()
-        ]
+    """Group identical rows: pack each row into bytes and count the distinct byte strings."""
+    packed = np.packbits(member, axis=1)
+    if packed.shape[1] == 0:  # no candidates: every row is the empty result
+        packed = np.zeros((len(member), 1), dtype=np.uint8)
+    rows = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    pairs = [
+        PossibleResult(ResultSet(tuple(ids[b] for b in np.flatnonzero(member[i]))), int(count))
+        for i, count in zip(first.tolist(), counts.tolist())
+    ]
     pairs.sort(key=lambda pr: (-pr.support, pr.result))
     return pairs
 

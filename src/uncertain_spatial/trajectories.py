@@ -139,13 +139,21 @@ class NNBitmapSample:
     masks: "dict[str, np.ndarray]"
 
 
-def _parse_per_timestamp(record: dict, trajectory_id: str):
+def _parse_trajectory(record) -> UncertainTrajectory:
+    try:
+        trajectory_id = str(record["id"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"trajectory record has no id: {record!r:.40}") from exc
     try:
         raw = record["per_timestamp"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(
             f"trajectory {trajectory_id!r} missing per_timestamp"
         ) from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"trajectory {trajectory_id!r}: per_timestamp must be an object"
+        )
     parsed = {}
     for key, alts in raw.items():
         try:
@@ -154,10 +162,15 @@ def _parse_per_timestamp(record: dict, trajectory_id: str):
             raise ValidationError(
                 f"trajectory {trajectory_id!r}: bad timestamp key {key!r}"
             ) from exc
-        parsed[t] = tuple(
-            ((float(a["x"]), float(a["y"])), float(a["p"])) for a in alts
-        )
-    return parsed
+        try:
+            parsed[t] = tuple(
+                ((float(a["x"]), float(a["y"])), float(a["p"])) for a in alts
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"trajectory {trajectory_id!r}: malformed alternative at timestamp {key}"
+            ) from exc
+    return UncertainTrajectory(id=trajectory_id, per_timestamp=parsed)
 
 
 def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
@@ -172,16 +185,10 @@ def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
         object_recs = doc["objects"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"trajectory dataset missing field: {exc}") from exc
-    query = UncertainTrajectory(
-        id=str(query_rec["id"]),
-        per_timestamp=_parse_per_timestamp(query_rec, str(query_rec["id"])),
-    )
-    objects = tuple(
-        UncertainTrajectory(
-            id=str(rec["id"]), per_timestamp=_parse_per_timestamp(rec, str(rec["id"]))
-        )
-        for rec in object_recs
-    )
+    if not isinstance(object_recs, list):
+        raise ValidationError('trajectory dataset "objects" must be an array')
+    query = _parse_trajectory(query_rec)
+    objects = tuple(_parse_trajectory(rec) for rec in object_recs)
     return TrajectoryDataset(timestamps=timestamps, query=query, objects=objects)
 
 

@@ -316,6 +316,45 @@ class TestErrorHandling:
         assert code == 1
         assert "X" in json.loads(err.strip())["error"]
 
+    @pytest.mark.parametrize("doc", [
+        {"objects": [{"id": "X", "instances": 5}]},
+        {"objects": 5},
+        {"objects": [5]},
+    ], ids=["instances-number", "objects-number", "record-number"])
+    def test_malformed_database_shape(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["range", "--dataset", str(bad), "--query-x", "0", "--query-y", "0",
+             "--epsilon", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("path, value", [
+        (("objects", 0, "per_timestamp", "1"), [5]),
+        (("objects", 0, "per_timestamp", "1"), 5),
+        (("objects", 0, "per_timestamp"), [5]),
+        (("objects", 0), 5),
+        (("query",), 5),
+        (("objects",), 5),
+    ], ids=["alternative-number", "alternatives-number", "per-timestamp-array",
+            "record-number", "query-number", "objects-number"])
+    def test_malformed_trajectory_shape(self, path, value, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "pcnn_demo.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["pcnn", "--dataset", str(bad), "--tau", "0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip())["error"]
+
     def test_world_cap_exit_code(self, tmp_path, capsys):
         objects = [
             {"id": f"O{i:02d}", "instances": [

@@ -15,6 +15,7 @@ from uncertain_spatial import (
     pam_kmedoids,
     standard_normal_quantile,
 )
+from uncertain_spatial.representatives import _distance_matrix
 from uncertain_spatial.worlds import ResultSet
 
 from conftest import exhaustive_best_cover
@@ -132,12 +133,31 @@ class TestMaxCover:
                 fraction = rep.support / total
                 assert rep.phi <= fraction + 1e-12
 
+    def test_gain_tie_picks_smaller_result_at_higher_index(self):
+        pr = pr_of(("C", 10), ("B", 10), ("A", 10), ("AD", 4))
+        reps = max_cover_representatives(pr, tau=0.0, n=2, alpha=0.95)
+        assert [r.result.members for r in reps] == [("A",), ("B",)]
+
     def test_parameter_validation(self):
         pr = pr_of(("A", 1))
         with pytest.raises(ValidationError):
             max_cover_representatives(pr, tau=-0.1, n=1, alpha=0.95)
         with pytest.raises(ValidationError):
             max_cover_representatives(pr, tau=0.5, n=0, alpha=0.95)
+
+
+class TestDistanceMatrix:
+    def test_matches_pairwise_jaccard(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            pr = random_pr(rng, max_distinct=20)
+            pr.append(PossibleResult(ResultSet.of(()), 3))
+            loop = np.array([[jaccard_distance(a.result, b.result) for b in pr] for a in pr])
+            assert np.array_equal(_distance_matrix(pr), loop)
+
+    def test_empty_results_only(self):
+        pr = pr_of(("", 4))
+        assert np.array_equal(_distance_matrix(pr), np.zeros((1, 1)))
 
 
 class TestPam:

@@ -66,6 +66,15 @@ class TestSampleWorlds:
         b = sample_worlds(db, 256, seed=9)
         assert np.array_equal(a.choices, b.choices[:64])
 
+    def test_large_instance_count_does_not_wrap(self):
+        """Instance indices above 32767 survive materialization."""
+        m = 40000
+        db = UncertainDatabase((make_object("U", [(i, 0, 1 / m) for i in range(m)]),))
+        X = sample_worlds(db, 20000, seed=3)
+        assert np.array_equal(X.column(0), X.choices[:, 0])
+        assert X.choices.max() >= 32768
+        assert abs(np.mean(X.choices[:, 0] < 20000) - 0.5) <= 0.02
+
     def test_sample_count_validated(self):
         db = UncertainDatabase((make_object("A", [(0, 0, 1.0)]),))
         with pytest.raises(ValidationError):
