@@ -24,7 +24,7 @@ from .model import (
     load_database,
     loads_database,
 )
-from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
+from .predicates import KnnPredicate, RangePredicate
 from .queries import (
     ProbabilisticPredicate,
     RangeQuery,
@@ -38,7 +38,6 @@ from .queries import (
     topk_predicate,
 )
 from .representatives import (
-    Representative,
     alpha_confidence,
     cluster_representatives,
     jaccard_distance,
@@ -48,7 +47,6 @@ from .representatives import (
 )
 from .sampling import (
     PossibleResult,
-    SampleSet,
     estimate_count_distribution,
     estimate_object_probabilities,
     estimate_result_probabilities,
@@ -56,9 +54,7 @@ from .sampling import (
 )
 from .trajectories import (
     ExactTrajectoryBackend,
-    NNBitmapSample,
     SampledTrajectoryBackend,
-    TimestampSet,
     TrajectoryDataset,
     UncertainTrajectory,
     load_trajectory_dataset,
@@ -69,7 +65,6 @@ from .trajectories import (
     pfann_probability,
 )
 from .worlds import (
-    PossibleWorld,
     ResultSet,
     enumerate_worlds,
     evaluate_world,

@@ -13,12 +13,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .bernoulli import CountDistribution, generating_function, poisson_binomial_recurrence
 from .model import (
     CapExceededError,
     QueryPoint,
@@ -28,29 +26,25 @@ from .model import (
 )
 from .predicates import KnnPredicate, RangePredicate
 from .queries import (
+    BACKENDS,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     ProbabilisticPredicate,
-    RangeQuery,
-    object_probabilities,
-    range_count_distribution,
-    rank_distribution,
+    answer_objects,
+    answer_range,
+    answer_rank,
+    answer_results,
+    enumerate_worlds,
+    sampled_results,
 )
 from .representatives import cluster_representatives, max_cover_representatives
-from .sampling import (
-    estimate_count_distribution,
-    estimate_object_probabilities,
-    estimate_result_probabilities,
-    sample_worlds,
-)
 from .trajectories import (
-    SampledTrajectoryBackend,
-    ExactTrajectoryBackend,
     load_trajectory_dataset,
     maximal_timestamp_sets,
+    pc_tau_nn,
     pcnn_query,
+    trajectory_backend,
 )
-from . import worlds as worlds_mod
-
-_KERNELS = {"pbr": poisson_binomial_recurrence, "gf": generating_function}
 
 
 def dumps_canonical(value) -> str:
@@ -86,53 +80,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation parameters (flags merged over an optional config file)."""
-
-    command: str
-    dataset: str
-    query_x: Optional[float] = None
-    query_y: Optional[float] = None
-    query_object: Optional[str] = None
-    epsilon: Optional[float] = None
-    k: Optional[int] = None
-    nn: Optional[int] = None
-    tau: Optional[float] = None
-    alpha: float = 0.95
-    tau_max: Optional[float] = None
-    n_reps: int = 3
-    samples: int = 10000
-    seed: int = 42
-    semantics: str = "object"
-    backend: str = "pbr"
-    method: str = "maxcover"
-    cluster_mode: str = "complete"
-    clusters: Optional[int] = None
-    object: Optional[str] = None
-    maximal: bool = False
-    output: Optional[str] = None
-
-
-_DEFAULTS = {
-    "alpha": 0.95,
-    "n_reps": 3,
-    "samples": 10000,
-    "seed": 42,
-    "semantics": "object",
-    "backend": "pbr",
-    "method": "maxcover",
-    "cluster_mode": "complete",
-    "maximal": False,
-}
-
-
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = _Parser(prog="uspatial", description="Probabilistic spatial queries")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs):
+    def add(name: str, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--dataset", required=True, help="dataset JSON path")
         p.add_argument("--config", help="JSON file with default parameter values")
         p.add_argument("--output", help="write the JSON document to this path")
@@ -143,107 +98,118 @@ def _build_parser() -> _Parser:
         p.add_argument("--query-y", type=float, help="query point y coordinate")
         p.add_argument("--query-object", help="treat this database object as the query")
 
-    add("worlds", help="dump the possible-worlds enumeration")
+    def add_backend_flags(p, choices=BACKENDS, default="pbr"):
+        p.add_argument("--backend", choices=choices, default=default)
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = add("range", help="range query: count distribution and per-object probabilities")
+    add("worlds", _cmd_worlds, help="dump the possible-worlds enumeration")
+
+    p = add("range", _cmd_range,
+            help="range query: count distribution and per-object probabilities")
     add_query_flags(p)
     p.add_argument("--epsilon", type=float, help="query radius")
     p.add_argument("--tau", type=float, help="probability threshold for the result set")
-    p.add_argument("--backend", choices=["pbr", "gf", "exact", "sampled"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    add_backend_flags(p)
 
-    p = add("knn", help="k-nearest-neighbor probabilities")
+    p = add("knn", _cmd_knn, help="k-nearest-neighbor probabilities")
     add_query_flags(p)
     p.add_argument("--k", type=int, help="number of nearest neighbors")
-    p.add_argument("--semantics", choices=["object", "result"])
-    p.add_argument("--backend", choices=["pbr", "gf", "exact", "sampled"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--semantics", choices=["object", "result"], default="object")
+    add_backend_flags(p)
 
-    p = add("topk", help="the k objects most likely to satisfy a spatial predicate")
+    p = add("topk", _cmd_topk, help="the k objects most likely to satisfy a spatial predicate")
     add_query_flags(p)
     p.add_argument("--k", type=int, help="number of objects to return")
     p.add_argument("--epsilon", type=float, help="range predicate radius")
     p.add_argument("--nn", type=int, help="kNN predicate neighbor count")
-    p.add_argument("--backend", choices=["pbr", "gf", "exact", "sampled"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    add_backend_flags(p)
 
-    p = add("rank", help="distance-rank distribution of one object")
+    p = add("rank", _cmd_rank, help="distance-rank distribution of one object")
     add_query_flags(p)
     p.add_argument("--object", help="object id to rank")
-    p.add_argument("--backend", choices=["pbr", "gf"])
+    p.add_argument("--backend", choices=["pbr", "gf"], default="pbr")
 
-    p = add("reps", help="sample worlds and select representative results")
+    p = add("reps", _cmd_reps, help="sample worlds and select representative results")
     add_query_flags(p)
     p.add_argument("--epsilon", type=float, help="range predicate radius")
     p.add_argument("--nn", type=int, help="kNN predicate neighbor count")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--method", choices=["maxcover", "cluster"])
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--alpha", type=float, default=0.95)
+    p.add_argument("--method", choices=["maxcover", "cluster"], default="maxcover")
     p.add_argument("--tau", type=float, help="cover radius (maxcover)")
-    p.add_argument("--n-reps", type=int, help="number of representatives (maxcover)")
-    p.add_argument("--cluster-mode", choices=["complete", "taumax"])
+    p.add_argument("--n-reps", type=int, default=3, help="number of representatives (maxcover)")
+    p.add_argument("--cluster-mode", choices=["complete", "taumax"], default="complete")
     p.add_argument("--tau-max", type=float)
     p.add_argument("--clusters", type=int, help="fixed cluster count")
 
-    p = add("pcnn", help="qualifying timestamp subsets per trajectory")
+    p = add("pcnn", _cmd_pcnn, help="qualifying timestamp subsets per trajectory")
     p.add_argument("--tau", type=float, help="probability threshold")
-    p.add_argument("--backend", choices=["exact", "sampled"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    add_backend_flags(p, ["exact", "sampled"], "exact")
     p.add_argument("--object", help="restrict to one trajectory id")
-    p.add_argument("--maximal", action="store_true", default=None,
-                   help="report only maximal timestamp sets")
-    return parser
+    p.add_argument("--maximal", action="store_true", help="report only maximal timestamp sets")
+    return parser, sub.choices
 
 
-def _resolve_config(ns: argparse.Namespace) -> RunConfig:
-    values = {k.replace("-", "_"): v for k, v in vars(ns).items() if k != "config"}
-    if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed config JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ValidationError("config file must hold a JSON object")
-        for key, val in overrides.items():
-            key = key.replace("-", "_")
-            if key in values and values[key] is None:
-                values[key] = val
-    for key, default in _DEFAULTS.items():
-        if key in values and values[key] is None:
-            values[key] = default
-    known = {f for f in RunConfig.__dataclass_fields__}
-    return RunConfig(**{k: v for k, v in values.items() if k in known})
+def _config_args(path: str, command: argparse.ArgumentParser) -> List[str]:
+    """The config file's values as flags of the subcommand; other keys are ignored.
+
+    Parsed ahead of the explicit flags, they get the same checks and explicit flags win.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed config JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ValidationError("config file must hold a JSON object")
+    args = []
+    for key, value in overrides.items():
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config") or value is None:
+            continue
+        if action.nargs != 0:
+            args.append(f"{flag}={value}")
+        elif isinstance(value, bool):
+            args += [flag] if value else []
+        else:
+            raise ValidationError(f"config value {key!r} must be true or false")
+    return args
 
 
-def _query_of(cfg: RunConfig, db: UncertainDatabase) -> Union[QueryPoint, str]:
-    if cfg.query_object is not None:
-        if cfg.query_x is not None or cfg.query_y is not None:
+def _parse(argv: List[str]) -> argparse.Namespace:
+    parser, commands = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    return parser.parse_args(argv[:1] + _config_args(ns.config, commands[ns.command]) + argv[1:])
+
+
+def _query_of(args, db: UncertainDatabase) -> Union[QueryPoint, str]:
+    if args.query_object is not None:
+        if args.query_x is not None or args.query_y is not None:
             raise ValidationError("--query-object and --query-x/--query-y are mutually exclusive")
-        if cfg.query_object not in db:
-            raise ValidationError(f"query object {cfg.query_object!r} not in dataset")
-        return cfg.query_object
-    if cfg.query_x is None or cfg.query_y is None:
+        if args.query_object not in db:
+            raise ValidationError(f"query object {args.query_object!r} not in dataset")
+        return args.query_object
+    if args.query_x is None or args.query_y is None:
         raise ValidationError("provide --query-x and --query-y, or --query-object")
-    return QueryPoint(cfg.query_x, cfg.query_y)
+    return QueryPoint(args.query_x, args.query_y)
 
 
 def _query_json(q: Union[QueryPoint, str]):
     return q if isinstance(q, str) else [q.x, q.y]
 
 
-def _spatial_predicate(cfg: RunConfig):
-    if cfg.epsilon is not None and cfg.nn is not None:
+def _spatial_predicate(args):
+    if args.epsilon is not None and args.nn is not None:
         raise ValidationError("--epsilon and --nn are mutually exclusive")
-    if cfg.epsilon is not None:
-        return RangePredicate(cfg.epsilon)
-    if cfg.nn is not None:
-        return KnnPredicate(cfg.nn)
+    if args.epsilon is not None:
+        return RangePredicate(args.epsilon)
+    if args.nn is not None:
+        return KnnPredicate(args.nn)
     raise ValidationError("provide --epsilon (range) or --nn (kNN) as the spatial predicate")
 
 
@@ -251,134 +217,55 @@ def _sorted_probabilities(probs: dict) -> dict:
     return {oid: probs[oid] for oid in sorted(probs)}
 
 
-def _mixture_count_distribution(db, q, epsilon: float, kernel) -> CountDistribution:
-    """Range-count distribution, mixing over an uncertain query object if needed."""
-    if isinstance(q, str):
-        qobj = db[q]
-        rest = db.without(q)
-        mass = np.zeros(len(rest) + 1)
-        for inst in qobj.instances:
-            rq = RangeQuery(QueryPoint(*inst.position), epsilon)
-            mass = mass + inst.prob * range_count_distribution(rest, rq, kernel).mass
-        return CountDistribution(mass)
-    return range_count_distribution(db, RangeQuery(q, epsilon), kernel)
-
-
-def _exact_count_distribution(db, q, epsilon: float) -> CountDistribution:
-    pred = RangePredicate(epsilon)
-    n = len(db) - (1 if isinstance(q, str) else 0)
-    mass = np.zeros(n + 1)
-    for world in worlds_mod.enumerate_worlds(db):
-        count = len(worlds_mod.evaluate_world(db, world, q, pred))
-        mass[count] += world.prob
-    return CountDistribution(mass)
-
-
-def _cmd_worlds(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        db = load_database(fh)
-    entries = [
-        {"choices": w.choices, "p": w.prob} for w in worlds_mod.enumerate_worlds(db)
-    ]
+def _cmd_worlds(args, db) -> dict:
+    entries = [{"choices": w.choices, "p": w.prob} for w in enumerate_worlds(db)]
     total = math.fsum(e["p"] for e in entries)
     return {"count": len(entries), "total_probability": total, "worlds": entries}
 
 
-def _cmd_range(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        db = load_database(fh)
-    q = _query_of(cfg, db)
-    if cfg.epsilon is None:
+def _cmd_range(args, db) -> dict:
+    q = _query_of(args, db)
+    if args.epsilon is None:
         raise ValidationError("range requires --epsilon")
-    pred = RangePredicate(cfg.epsilon)
-    if cfg.backend == "exact":
-        probs = worlds_mod.object_based(db, q, pred)
-        counts = _exact_count_distribution(db, q, cfg.epsilon)
-    elif cfg.backend == "sampled":
-        X = sample_worlds(db, cfg.samples, cfg.seed)
-        probs = estimate_object_probabilities(X, q, pred)
-        if isinstance(q, str):
-            counts = _sampled_count_distribution(X, q, pred)
-        else:
-            counts = estimate_count_distribution(X, q, cfg.epsilon)
-    else:
-        kernel = _KERNELS[cfg.backend]
-        probs = object_probabilities(db, q, pred, kernel)
-        counts = _mixture_count_distribution(db, q, cfg.epsilon, kernel)
+    probs, counts = answer_range(db, q, args.epsilon, args.backend, args.samples, args.seed)
     doc = {
-        "epsilon": cfg.epsilon,
+        "epsilon": args.epsilon,
         "query": _query_json(q),
         "probabilities": _sorted_probabilities(probs),
         "count_distribution": list(counts.mass),
     }
-    if cfg.tau is not None:
-        selected = ProbabilisticPredicate(kind="threshold", tau=cfg.tau).select(probs)
-        doc["tau"] = cfg.tau
+    if args.tau is not None:
+        selected = ProbabilisticPredicate(kind="threshold", tau=args.tau).select(probs)
+        doc["tau"] = args.tau
         doc["result"] = list(selected.members)
     return doc
 
 
-def _sampled_count_distribution(X, q, pred) -> CountDistribution:
-    from .sampling import _membership_matrix
-
-    member, _ = _membership_matrix(X, q, pred)
-    counts = member.sum(axis=1)
-    mass = np.bincount(counts, minlength=member.shape[1] + 1).astype(float) / len(X)
-    return CountDistribution(mass)
-
-
-def _cmd_knn(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        db = load_database(fh)
-    q = _query_of(cfg, db)
-    if cfg.k is None or cfg.k < 1:
+def _cmd_knn(args, db) -> dict:
+    q = _query_of(args, db)
+    if args.k is None or args.k < 1:
         raise ValidationError("knn requires --k >= 1")
-    pred = KnnPredicate(cfg.k)
-    doc = {"k": cfg.k, "query": _query_json(q), "semantics": cfg.semantics}
-    if cfg.semantics == "object":
-        if cfg.backend == "exact":
-            probs = worlds_mod.object_based(db, q, pred)
-        elif cfg.backend == "sampled":
-            X = sample_worlds(db, cfg.samples, cfg.seed)
-            probs = estimate_object_probabilities(X, q, pred)
-        else:
-            probs = object_probabilities(db, q, pred, _KERNELS[cfg.backend])
+    pred = KnnPredicate(args.k)
+    doc = {"k": args.k, "query": _query_json(q), "semantics": args.semantics}
+    if args.semantics == "object":
+        probs = answer_objects(db, q, pred, args.backend, args.samples, args.seed)
         doc["probabilities"] = _sorted_probabilities(probs)
     else:
-        if cfg.backend == "sampled":
-            X = sample_worlds(db, cfg.samples, cfg.seed)
-            pairs = [
-                (pr.result, pr.support / len(X))
-                for pr in estimate_result_probabilities(X, q, pred)
-            ]
-        else:
-            rd = worlds_mod.result_based(db, q, pred)
-            pairs = list(rd.items())
-        pairs.sort(key=lambda item: (-item[1], item[0]))
-        doc["results"] = [
-            {"result": list(res.members), "p": p} for res, p in pairs
-        ]
+        pairs = answer_results(db, q, pred, args.backend, args.samples, args.seed)
+        doc["results"] = [{"result": list(res.members), "p": p} for res, p in pairs]
     return doc
 
 
-def _cmd_topk(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        db = load_database(fh)
-    q = _query_of(cfg, db)
-    if cfg.k is None or cfg.k < 1:
+def _cmd_topk(args, db) -> dict:
+    q = _query_of(args, db)
+    if args.k is None or args.k < 1:
         raise ValidationError("topk requires --k >= 1")
-    pred = _spatial_predicate(cfg)
-    if cfg.backend == "exact":
-        probs = worlds_mod.object_based(db, q, pred)
-    elif cfg.backend == "sampled":
-        X = sample_worlds(db, cfg.samples, cfg.seed)
-        probs = estimate_object_probabilities(X, q, pred)
-    else:
-        probs = object_probabilities(db, q, pred, _KERNELS[cfg.backend])
-    if cfg.k > len(probs):
+    pred = _spatial_predicate(args)
+    probs = answer_objects(db, q, pred, args.backend, args.samples, args.seed)
+    if args.k > len(probs):
         raise ValidationError(f"k must be within 1..{len(probs)}")
-    selected = ProbabilisticPredicate(kind="topk", k=cfg.k).select(probs)
-    doc = {"k": cfg.k}
+    selected = ProbabilisticPredicate(kind="topk", k=args.k).select(probs)
+    doc = {"k": args.k}
     if isinstance(pred, RangePredicate):
         doc["epsilon"] = pred.epsilon
     else:
@@ -389,33 +276,28 @@ def _cmd_topk(cfg: RunConfig) -> dict:
     return doc
 
 
-def _cmd_rank(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        db = load_database(fh)
-    q = _query_of(cfg, db)
-    if not cfg.object:
+def _cmd_rank(args, db) -> dict:
+    q = _query_of(args, db)
+    if not args.object:
         raise ValidationError("rank requires --object")
-    if cfg.object not in db:
-        raise ValidationError(f"object {cfg.object!r} not in dataset")
-    cd = rank_distribution(db, q, cfg.object, _KERNELS[cfg.backend])
-    return {"object": cfg.object, "query": _query_json(q), "ranks": list(cd.mass)}
+    if args.object not in db:
+        raise ValidationError(f"object {args.object!r} not in dataset")
+    cd = answer_rank(db, q, args.object, args.backend)
+    return {"object": args.object, "query": _query_json(q), "ranks": list(cd.mass)}
 
 
-def _cmd_reps(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        db = load_database(fh)
-    q = _query_of(cfg, db)
-    pred = _spatial_predicate(cfg)
-    X = sample_worlds(db, cfg.samples, cfg.seed)
-    pr = estimate_result_probabilities(X, q, pred)
-    if cfg.method == "maxcover":
-        if cfg.tau is None:
+def _cmd_reps(args, db) -> dict:
+    q = _query_of(args, db)
+    pred = _spatial_predicate(args)
+    pr = sampled_results(db, q, pred, args.samples, args.seed)
+    if args.method == "maxcover":
+        if args.tau is None:
             raise ValidationError("maxcover requires --tau")
-        reps = max_cover_representatives(pr, cfg.tau, cfg.n_reps, cfg.alpha)
+        reps = max_cover_representatives(pr, args.tau, args.n_reps, args.alpha)
     else:
-        mode = "complete" if cfg.cluster_mode == "complete" else "tau_max"
+        mode = "complete" if args.cluster_mode == "complete" else "tau_max"
         reps = cluster_representatives(
-            pr, cfg.alpha, mode=mode, tau_max=cfg.tau_max, k=cfg.clusters
+            pr, args.alpha, mode=mode, tau_max=args.tau_max, k=args.clusters
         )
     return {
         "representatives": [
@@ -428,34 +310,27 @@ def _cmd_reps(cfg: RunConfig) -> dict:
             }
             for r in reps
         ],
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "samples": args.samples,
+        "seed": args.seed,
     }
 
 
-def _cmd_pcnn(cfg: RunConfig) -> dict:
-    with open(cfg.dataset, "rb") as fh:
-        dataset = load_trajectory_dataset(fh)
-    if cfg.tau is None:
+def _cmd_pcnn(args, dataset) -> dict:
+    if args.tau is None:
         raise ValidationError("pcnn requires --tau")
-    if cfg.backend == "sampled":
-        backend = SampledTrajectoryBackend(dataset, cfg.samples, cfg.seed)
-    else:
-        backend = ExactTrajectoryBackend(dataset)
+    backend = trajectory_backend(dataset, args.backend, args.samples, args.seed)
     domain = dataset.timestamps
-    if cfg.object is not None:
-        if cfg.object not in dataset.object_ids:
-            raise ValidationError(f"object {cfg.object!r} not in dataset")
-        from .trajectories import pc_tau_nn
-
-        found = pc_tau_nn(dataset, cfg.object, domain, cfg.tau, backend)
-        results = {cfg.object: found} if found else {}
+    if args.object is not None:
+        if args.object not in dataset.object_ids:
+            raise ValidationError(f"object {args.object!r} not in dataset")
+        found = pc_tau_nn(dataset, args.object, domain, args.tau, backend)
+        results = {args.object: found} if found else {}
     else:
-        results = pcnn_query(dataset, domain, cfg.tau, backend)
-    if cfg.maximal:
+        results = pcnn_query(dataset, domain, args.tau, backend)
+    if args.maximal:
         results = {oid: maximal_timestamp_sets(sets) for oid, sets in results.items()}
-    doc = {
-        "tau": cfg.tau,
+    return {
+        "tau": args.tau,
         "results": {
             oid: [
                 {"timestamps": list(ts.timestamps), "p": ts.probability}
@@ -464,29 +339,18 @@ def _cmd_pcnn(cfg: RunConfig) -> dict:
             for oid, sets in results.items()
         },
     }
-    return doc
-
-
-_COMMANDS = {
-    "worlds": _cmd_worlds,
-    "range": _cmd_range,
-    "knn": _cmd_knn,
-    "topk": _cmd_topk,
-    "rank": _cmd_rank,
-    "reps": _cmd_reps,
-    "pcnn": _cmd_pcnn,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        ns = parser.parse_args(argv)
-        cfg = _resolve_config(ns)
-        doc = _COMMANDS[cfg.command](cfg)
-        text = dumps_canonical(doc)
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+        args = _parse(argv)
+        load = load_trajectory_dataset if args.command == "pcnn" else load_database
+        with open(args.dataset, "rb") as fh:
+            dataset = load(fh)
+        text = dumps_canonical(args.run(args, dataset))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         else:
             sys.stdout.write(text + "\n")

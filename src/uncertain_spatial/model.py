@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from dataclasses import dataclass, field
+from typing import IO, Dict, Iterable, Optional, Union
 
 #: Tolerance for probability-sum checks.  Double-precision accumulation over
 #: up to ~10^4 instances stays well inside this bound.
@@ -129,13 +129,15 @@ class UncertainDatabase:
     """
 
     objects: "tuple[UncertainObject, ...]"
+    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for obj in self.objects:
-            if obj.id in seen:
+        positions = {}
+        for i, obj in enumerate(self.objects):
+            if obj.id in positions:
                 raise ValidationError(f"duplicate object id {obj.id!r}")
-            seen.add(obj.id)
+            positions[obj.id] = i
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -144,13 +146,14 @@ class UncertainDatabase:
         return iter(self.objects)
 
     def __getitem__(self, object_id: str) -> UncertainObject:
-        for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise KeyError(object_id)
+        return self.objects[self._positions[object_id]]
 
     def __contains__(self, object_id: str) -> bool:
-        return any(obj.id == object_id for obj in self.objects)
+        return object_id in self._positions
+
+    def index(self, object_id: str) -> int:
+        """Position of the object in database order; ``KeyError`` when absent."""
+        return self._positions[object_id]
 
     @property
     def object_ids(self) -> "tuple[str, ...]":
@@ -158,9 +161,20 @@ class UncertainDatabase:
 
     def without(self, object_id: str) -> "UncertainDatabase":
         """A copy of the database with one object removed (order preserved)."""
-        if object_id not in self:
-            raise KeyError(object_id)
-        return UncertainDatabase(tuple(o for o in self.objects if o.id != object_id))
+        i = self._positions[object_id]
+        return UncertainDatabase(self.objects[:i] + self.objects[i + 1 :])
+
+
+def resolve_query(db: UncertainDatabase, q: Union[QueryPoint, str]) -> Optional[UncertainObject]:
+    """The object a query id names (``None`` for a point); it must exist in every world."""
+    if not isinstance(q, str):
+        return None
+    qobj = db[q]
+    if qobj.is_existentially_uncertain:
+        raise ValidationError(
+            f"query object {q!r} is existentially uncertain; a query must exist"
+        )
+    return qobj
 
 
 def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:

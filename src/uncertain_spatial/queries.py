@@ -9,30 +9,55 @@ possibilistic) then filter the per-object probabilities.
 
 Queries may be a fixed :class:`QueryPoint` or the id of a database object;
 an object query is mixed over its own instances and never appears in results.
+
+The ``answer_*`` functions are the one place that picks a backend by name:
+``pbr`` and ``gf`` are the two Bernoulli-sum kernels, ``exact`` is the
+possible-worlds oracle and ``sampled`` estimates from Monte-Carlo worlds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bernoulli import CountDistribution, poisson_binomial_recurrence
+from .bernoulli import CountDistribution, generating_function, poisson_binomial_recurrence
 from .model import (
     QueryPoint,
     UncertainDatabase,
     UncertainObject,
     ValidationError,
     euclidean_distance,
+    resolve_query,
 )
 from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
-from .worlds import ResultSet
+from .sampling import (
+    PossibleResult,
+    estimate_count_distribution,
+    estimate_object_probabilities,
+    estimate_result_probabilities,
+    sample_worlds,
+)
+from .worlds import (  # enumerate_worlds is re-exported for the CLI's worlds listing
+    ResultSet,
+    count_distribution,
+    enumerate_worlds,
+    object_based,
+    result_based,
+)
 
 #: Bernoulli-sum kernel signature; the recurrence is the default path and the
 #: generating-function expansion is the drop-in alternative.
 Kernel = Callable[[Sequence[float]], CountDistribution]
+
+KERNELS: Dict[str, Kernel] = {"pbr": poisson_binomial_recurrence, "gf": generating_function}
+BACKENDS = ("pbr", "gf", "exact", "sampled")
+
+#: World count and seed of the ``sampled`` backend unless a caller sets them.
+DEFAULT_SAMPLES = 10000
+DEFAULT_SEED = 42
 
 #: Probabilities are rounded to this many decimal digits before predicate
 #: comparisons, so threshold and tie decisions are stable across kernels.
@@ -138,24 +163,27 @@ def _closer_probability(
     return min(1.0, total)
 
 
-def _resolve_object(db: UncertainDatabase, o: Union[UncertainObject, str]) -> UncertainObject:
-    if isinstance(o, str):
-        return db[o]
-    if o.id not in db:
-        raise KeyError(o.id)
-    return o
-
-
-def _mix_over_query(db: UncertainDatabase, q: str):
-    """Yield (weight, fixed query point, database without the query object)."""
-    qobj = db[q]
-    if qobj.is_existentially_uncertain:
-        raise ValidationError(
-            f"query object {q!r} is existentially uncertain; a query must exist"
-        )
+def _mix_over_query(db: UncertainDatabase, q: Query):
+    """Yield (weight, fixed query point, database without the query object); a point weighs 1."""
+    qobj = resolve_query(db, q)
+    if qobj is None:
+        yield 1.0, q, db
+        return
     rest = db.without(q)
     for inst in qobj.instances:
         yield inst.prob, QueryPoint(*inst.position), rest
+
+
+def _closer_counts(db: UncertainDatabase, point: QueryPoint, o, kernel: Kernel):
+    """Yield (instance probability, count of other objects strictly closer) per instance."""
+    target = db[o] if isinstance(o, str) else o
+    if target.id not in db:
+        raise KeyError(target.id)
+    others = [obj for obj in db.objects if obj.id != target.id]
+    for inst in target.instances:
+        d = euclidean_distance(point.position, inst.position)
+        closer = [_closer_probability(c, point.position, d, target.id) for c in others]
+        yield inst.prob, kernel(closer)
 
 
 def knn_object_probability(
@@ -173,20 +201,13 @@ def knn_object_probability(
     """
     if k < 1:
         raise ValidationError("k must be a positive integer")
-    if isinstance(q, str):
-        return math.fsum(
-            w * knn_object_probability(rest, point, k, o, kernel)
-            for w, point, rest in _mix_over_query(db, q)
-        )
-    target = _resolve_object(db, o)
-    q_pos = q.position
-    others = [obj for obj in db.objects if obj.id != target.id]
-    total = 0.0
-    for inst in target.instances:
-        d = euclidean_distance(q_pos, inst.position)
-        closer = [_closer_probability(c, q_pos, d, target.id) for c in others]
-        total += inst.prob * kernel(closer).prob_at_most(k - 1)
-    return min(1.0, total)
+    parts = []
+    for w, point, rest in _mix_over_query(db, q):
+        total = 0.0
+        for p, closer in _closer_counts(rest, point, o, kernel):
+            total += p * closer.prob_at_most(k - 1)
+        parts.append(w * min(1.0, total))
+    return math.fsum(parts)
 
 
 def rank_distribution(
@@ -201,25 +222,25 @@ def rank_distribution(
     Worlds where the object does not exist carry no rank, so the mass sums to
     the object's existence probability.
     """
-    if isinstance(q, str):
-        parts = [
-            (w, rank_distribution(rest, point, o, kernel))
-            for w, point, rest in _mix_over_query(db, q)
-        ]
-        n = len(parts[0][1])
-        mass = np.zeros(n)
-        for w, cd in parts:
-            mass += w * cd.mass
-        return CountDistribution(mass)
-    target = _resolve_object(db, o)
-    q_pos = q.position
-    others = [obj for obj in db.objects if obj.id != target.id]
-    mass = np.zeros(len(db))
-    for inst in target.instances:
-        d = euclidean_distance(q_pos, inst.position)
-        closer = [_closer_probability(c, q_pos, d, target.id) for c in others]
-        mass += inst.prob * kernel(closer).mass
+    mass = 0.0
+    for w, point, rest in _mix_over_query(db, q):
+        part = np.zeros(len(rest))
+        for p, closer in _closer_counts(rest, point, o, kernel):
+            part += p * closer.mass
+        mass = mass + w * part
     return CountDistribution(mass)
+
+
+def _position_probabilities(
+    db: UncertainDatabase, point: QueryPoint, predicate: SpatialPredicate, kernel: Kernel
+) -> List[float]:
+    """Each object's probability of satisfying the predicate at a fixed point, in database order."""
+    if isinstance(predicate, RangePredicate):
+        rq = RangeQuery(point, predicate.epsilon)
+        return [in_range_probability(obj, rq) for obj in db.objects]
+    if isinstance(predicate, KnnPredicate):
+        return [knn_object_probability(db, point, predicate.k, obj, kernel) for obj in db.objects]
+    raise ValidationError(f"unsupported spatial predicate {predicate!r}")
 
 
 def object_probabilities(
@@ -229,21 +250,11 @@ def object_probabilities(
     kernel: Kernel = poisson_binomial_recurrence,
 ) -> Dict[str, float]:
     """Per-object probability of satisfying the spatial predicate, for all objects."""
-    if isinstance(q, str):
-        acc: Dict[str, float] = {}
-        for w, point, rest in _mix_over_query(db, q):
-            for oid, p in object_probabilities(rest, point, predicate, kernel).items():
-                acc[oid] = acc.get(oid, 0.0) + w * p
-        return acc
-    if isinstance(predicate, RangePredicate):
-        rq = RangeQuery(q, predicate.epsilon)
-        return {obj.id: in_range_probability(obj, rq) for obj in db.objects}
-    if isinstance(predicate, KnnPredicate):
-        return {
-            obj.id: knn_object_probability(db, q, predicate.k, obj, kernel)
-            for obj in db.objects
-        }
-    raise ValidationError(f"unsupported spatial predicate {predicate!r}")
+    acc: Dict[str, float] = {}
+    for w, point, rest in _mix_over_query(db, q):
+        for obj, p in zip(rest.objects, _position_probabilities(rest, point, predicate, kernel)):
+            acc[obj.id] = acc.get(obj.id, 0.0) + w * p
+    return acc
 
 
 def threshold_query(
@@ -270,3 +281,94 @@ def topk_predicate(
     if not 1 <= k <= len(probs):
         raise ValidationError(f"k must be within 1..{len(probs)}")
     return ProbabilisticPredicate(kind="topk", k=k).select(probs)
+
+
+def _kernel(backend: str) -> Kernel:
+    if backend not in KERNELS:
+        raise ValidationError(f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}")
+    return KERNELS[backend]
+
+
+def answer_objects(
+    db: UncertainDatabase,
+    q: Query,
+    predicate: SpatialPredicate,
+    backend: str = "pbr",
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> Dict[str, float]:
+    """Per-object probability of satisfying the predicate, from the named backend."""
+    if backend == "exact":
+        return object_based(db, q, predicate)
+    if backend == "sampled":
+        return estimate_object_probabilities(sample_worlds(db, samples, seed), q, predicate)
+    return object_probabilities(db, q, predicate, _kernel(backend))
+
+
+def answer_range(
+    db: UncertainDatabase,
+    q: Query,
+    epsilon: float,
+    backend: str = "pbr",
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> Tuple[Dict[str, float], CountDistribution]:
+    """Per-object in-range probabilities and the in-range count distribution, from the backend."""
+    predicate = RangePredicate(epsilon)
+    if backend == "exact":
+        return object_based(db, q, predicate), count_distribution(db, q, predicate)
+    if backend == "sampled":
+        X = sample_worlds(db, samples, seed)
+        estimated = estimate_object_probabilities(X, q, predicate)
+        return estimated, estimate_count_distribution(X, q, epsilon)
+    kernel = _kernel(backend)
+    probs: Dict[str, float] = {}
+    mass = 0.0
+    for w, point, rest in _mix_over_query(db, q):
+        trials = _position_probabilities(rest, point, predicate, kernel)
+        for obj, p in zip(rest.objects, trials):
+            probs[obj.id] = probs.get(obj.id, 0.0) + w * p
+        mass = mass + w * kernel(trials).mass
+    return probs, CountDistribution(mass)
+
+
+def sampled_results(
+    db: UncertainDatabase,
+    q: Query,
+    predicate: SpatialPredicate,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> List[PossibleResult]:
+    """Distinct results over ``samples`` worlds drawn with ``seed``, most supported first."""
+    return estimate_result_probabilities(sample_worlds(db, samples, seed), q, predicate)
+
+
+def answer_results(
+    db: UncertainDatabase,
+    q: Query,
+    predicate: SpatialPredicate,
+    backend: str = "pbr",
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> List[Tuple[ResultSet, float]]:
+    """Probability of each distinct query result, most probable first, ties by result.
+
+    The kernels give per-object marginals only, so ``pbr`` and ``gf`` answer
+    through the exact oracle and its world cap.
+    """
+    if backend == "sampled":
+        found = sampled_results(db, q, predicate, samples, seed)
+        pairs = [(pr.result, pr.support / samples) for pr in found]
+    else:
+        if backend != "exact":
+            _kernel(backend)  # rejects unknown names; a kernel has no result sets to give
+        pairs = list(result_based(db, q, predicate).items())
+    pairs.sort(key=lambda item: (-item[1], item[0]))
+    return pairs
+
+
+def answer_rank(
+    db: UncertainDatabase, q: Query, o: Union[UncertainObject, str], backend: str = "pbr"
+) -> CountDistribution:
+    """Rank distribution of one object through the named kernel (``pbr`` or ``gf``)."""
+    return rank_distribution(db, q, o, _kernel(backend))

@@ -22,7 +22,13 @@ from typing import Dict, Iterator, List, Union
 import numpy as np
 
 from .bernoulli import CountDistribution
-from .model import QueryPoint, UncertainDatabase, ValidationError, euclidean_distance
+from .model import (
+    QueryPoint,
+    UncertainDatabase,
+    ValidationError,
+    euclidean_distance,
+    resolve_query,
+)
 from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
 from .worlds import PossibleWorld, ResultSet
 
@@ -123,21 +129,6 @@ def sample_worlds(db: UncertainDatabase, n: int, seed: int = 42) -> SampleSet:
     return SampleSet(db=db, seed=seed, n=n)
 
 
-def _query_columns(X: SampleSet, q: Union[QueryPoint, str]):
-    """Resolve the query against the sample set's database."""
-    db = X.db
-    if isinstance(q, str):
-        qobj = db[q]
-        if qobj.is_existentially_uncertain:
-            raise ValidationError(
-                f"query object {q!r} is existentially uncertain; a query must exist"
-            )
-        q_col = list(db.object_ids).index(q)
-        q_positions = [inst.position for inst in qobj.instances]
-        return q_col, q_positions
-    return None, [q.position]
-
-
 def _distance_table(q_positions, obj) -> np.ndarray:
     """Distance per (query position, object instance); the last column (absent) is +inf."""
     table = np.full((len(q_positions), len(obj.instances) + 1), np.inf)
@@ -160,7 +151,11 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
     Returns (member matrix, sorted candidate ids).
     """
     db = X.db
-    q_col, q_positions = _query_columns(X, q)
+    qobj = resolve_query(db, q)
+    if qobj is None:
+        q_col, q_positions = None, [q.position]
+    else:
+        q_col, q_positions = db.index(q), [inst.position for inst in qobj.instances]
     n = len(X)
     cols = [j for j in range(len(db)) if j != q_col]
     ids = [db.objects[j].id for j in cols]
@@ -237,9 +232,11 @@ def estimate_object_probabilities(
     return {oid: float(f) for oid, f in zip(ids, freq)}
 
 
-def estimate_count_distribution(X: SampleSet, rq_center: QueryPoint, epsilon: float) -> CountDistribution:
-    """Empirical distribution of the in-range object count across samples."""
-    member, _ = _membership_matrix(X, rq_center, RangePredicate(epsilon))
+def estimate_count_distribution(
+    X: SampleSet, q: Union[QueryPoint, str], epsilon: float
+) -> CountDistribution:
+    """Empirical distribution of the in-range count across samples (a query object never counts)."""
+    member, _ = _membership_matrix(X, q, RangePredicate(epsilon))
     counts = member.sum(axis=1)
-    mass = np.bincount(counts, minlength=len(X.db) + 1).astype(float) / len(X)
+    mass = np.bincount(counts, minlength=member.shape[1] + 1).astype(float) / len(X)
     return CountDistribution(mass)

@@ -332,6 +332,17 @@ class SampledTrajectoryBackend:
 Backend = Union[ExactTrajectoryBackend, SampledTrajectoryBackend]
 
 
+def trajectory_backend(
+    dataset: TrajectoryDataset, name: str = "exact", samples: int = 10000, seed: int = 42
+) -> Backend:
+    """The named backend: ``exact`` enumeration or ``sampled`` shared Monte-Carlo worlds."""
+    if name == "exact":
+        return ExactTrajectoryBackend(dataset)
+    if name == "sampled":
+        return SampledTrajectoryBackend(dataset, samples, seed)
+    raise ValidationError(f"unknown trajectory backend {name!r}; expected exact or sampled")
+
+
 def pfann_probability(
     dataset: TrajectoryDataset,
     object_id: str,

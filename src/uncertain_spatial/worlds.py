@@ -17,12 +17,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
+import numpy as np
+
+from .bernoulli import CountDistribution
 from .model import (
     PROB_TOL,
     CapExceededError,
     QueryPoint,
     UncertainDatabase,
     ValidationError,
+    resolve_query,
 )
 
 #: Default limit on the number of enumerated worlds.
@@ -113,18 +117,6 @@ def query_probability(
     return math.fsum(w.prob for w in enumerate_worlds(db, cap) if predicate(w))
 
 
-def _query_geometry(db: UncertainDatabase, q: Union[QueryPoint, str]):
-    """Resolve the query: (query object id or None, fixed position or None)."""
-    if isinstance(q, str):
-        qobj = db[q]
-        if qobj.is_existentially_uncertain:
-            raise ValidationError(
-                f"query object {q!r} is existentially uncertain; a query must exist"
-            )
-        return q, None
-    return None, q.position
-
-
 def _world_placements(db: UncertainDatabase, world: PossibleWorld, skip: Optional[str]):
     placements = {}
     for obj in db.objects:
@@ -143,13 +135,13 @@ def evaluate_world(
     predicate,
 ) -> ResultSet:
     """Deterministic result of the predicate in one concrete world."""
-    qid, qpos = _query_geometry(db, q)
-    if qid is not None:
-        idx = world.choices[qid]
-        if idx is None:  # zero-probability branch for a validated query object
-            return ResultSet.of(())
-        qpos = db[qid].instances[idx].position
-    return predicate.evaluate(qpos, _world_placements(db, world, qid))
+    qobj = resolve_query(db, q)
+    if qobj is None:
+        return predicate.evaluate(q.position, _world_placements(db, world, None))
+    idx = world.choices[q]
+    if idx is None:  # zero-probability branch for a validated query object
+        return ResultSet.of(())
+    return predicate.evaluate(qobj.instances[idx].position, _world_placements(db, world, q))
 
 
 def result_based(
@@ -177,13 +169,27 @@ def object_based(
     Every non-query object appears in the output, including those with zero
     probability.
     """
-    qid, _ = _query_geometry(db, q)
-    acc: Dict[str, list] = {obj.id: [] for obj in db.objects if obj.id != qid}
+    qobj = resolve_query(db, q)
+    acc: Dict[str, list] = {obj.id: [] for obj in db.objects if obj is not qobj}
     for world in enumerate_worlds(db, cap):
         res = evaluate_world(db, world, q, predicate)
         for oid in res:
             acc[oid].append(world.prob)
     return {oid: math.fsum(ps) for oid, ps in acc.items()}
+
+
+def count_distribution(
+    db: UncertainDatabase,
+    q: Union[QueryPoint, str],
+    predicate,
+    cap: int = DEFAULT_WORLD_CAP,
+) -> CountDistribution:
+    """Distribution of the result size, summed over the worlds in enumeration order."""
+    n = len(db) if resolve_query(db, q) is None else len(db) - 1
+    mass = np.zeros(n + 1)
+    for world in enumerate_worlds(db, cap):
+        mass[len(evaluate_world(db, world, q, predicate))] += world.prob
+    return CountDistribution(mass)
 
 
 def object_based_from_result_based(rd: "dict[ResultSet, float]") -> "dict[str, float]":

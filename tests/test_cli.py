@@ -63,6 +63,31 @@ class TestRangeCommand:
             ):
                 assert a == pytest.approx(b, abs=1e-9)
 
+    EXACT_MIX = (
+        '"probabilities":{"A":0.6,"B":0.3,"C":0.6,"D":0.4,"E":0.4},'
+        '"count_distribution":[0,0,0.7,0.3,0,0]'
+    )
+
+    @pytest.mark.parametrize("backend, expected", [
+        ("pbr", EXACT_MIX),
+        ("gf", EXACT_MIX),
+        ("exact", EXACT_MIX),
+        ("sampled", '"probabilities":{"A":0.5964,"B":0.2968,"C":0.5964,"D":0.4036,"E":0.4036},'
+                    '"count_distribution":[0,0,0.7032,0.2968,0,0]'),
+    ], ids=["pbr", "gf", "exact", "sampled"])
+    def test_query_object(self, backend, expected, capsys):
+        """An uncertain query object is mixed over its instances and not counted itself."""
+        code, out, _ = run_cli(
+            [
+                "range", "--dataset", str(FIXTURES / "consensus_demo.json"),
+                "--query-object", "Q", "--epsilon", "2", "--tau", "0.5",
+                "--backend", backend, "--samples", "5000", "--seed", "3",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out == '{"epsilon":2,"query":"Q",' + expected + ',"tau":0.5,"result":["A","C"]}\n'
+
     def test_sampled_backend_matches_exact(self, capsys):
         """Large-sample Monte Carlo agrees with the oracle within 5 sigma."""
         n = 200000
@@ -355,6 +380,29 @@ class TestErrorHandling:
         assert out == ""
         assert json.loads(err.strip())["error"]
 
+    @pytest.mark.parametrize("command, config", [
+        ("knn", {"k": "two"}),
+        ("knn", {"k": True}),
+        ("knn", {"k": [2]}),
+        ("knn", {"samples": 1.5}),
+        ("knn", {"backend": "bogus"}),
+        ("knn", {"semantics": "both"}),
+        ("pcnn", {"maximal": "no"}),
+        ("pcnn", {"samples": 1.5, "backend": "sampled"}),
+    ], ids=["int-word", "int-bool", "int-list", "int-float", "backend-choice",
+            "semantics-choice", "flag-string", "pcnn-int-float"])
+    def test_bad_config_value(self, command, config, tmp_path, capsys):
+        """Config values get the type and choice checks of their flags."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = KNN_ARGS if command == "knn" else [
+            "pcnn", "--dataset", str(FIXTURES / "pcnn_demo.json"), "--tau", "0.5",
+        ]
+        code, out, err = run_cli(args + ["--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip())["error"]
+
     def test_world_cap_exit_code(self, tmp_path, capsys):
         objects = [
             {"id": f"O{i:02d}", "instances": [
@@ -364,9 +412,13 @@ class TestErrorHandling:
         ]
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"objects": objects}))
-        code, _, err = run_cli(["worlds", "--dataset", str(big)], capsys)
-        assert code == 2
-        assert "cap" in json.loads(err.strip())["error"]
+        # result semantics has no kernel path: pbr answers through the capped oracle
+        knn_result = ["knn", "--query-x", "0", "--query-y", "0", "--k", "2",
+                      "--semantics", "result", "--backend", "pbr"]
+        for argv in (["worlds"], knn_result):
+            code, _, err = run_cli(argv + ["--dataset", str(big)], capsys)
+            assert code == 2
+            assert "cap" in json.loads(err.strip())["error"]
 
 
 class TestConfigAndOutput:
@@ -396,6 +448,30 @@ class TestConfigAndOutput:
         )
         assert code == 0
         assert json.loads(out)["epsilon"] == 100
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"k": "2"}, ["--k", "2"]),
+        ({"k": 2, "seed": "7", "samples": 300, "backend": "sampled"},
+         ["--k", "2", "--seed", "7", "--samples", "300", "--backend", "sampled"]),
+        ({"k": 2, "nn": 3, "maximal": True, "unknown": [1], "semantics": None}, ["--k", "2"]),
+    ], ids=["int-string", "sampling", "other-keys-ignored"])
+    def test_config_values_parse_like_flags(self, config, flags, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        base = KNN_ARGS[:-2]  # without --k
+        _, expected, _ = run_cli(base + flags, capsys)
+        code, out, _ = run_cli(base + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == expected
+
+    def test_config_boolean_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"maximal": True}))
+        args = ["pcnn", "--dataset", str(FIXTURES / "pcnn_demo.json"), "--tau", "0.5"]
+        _, expected, _ = run_cli(args + ["--maximal"], capsys)
+        code, out, _ = run_cli(args + ["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == expected
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"

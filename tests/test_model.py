@@ -35,6 +35,18 @@ class TestLoading:
         assert range_db.object_ids == ("A", "B", "C", "D", "E", "F")
         assert [i.index for i in range_db["B"].instances] == [0, 1, 2, 3]
 
+    def test_lookup_by_id(self, range_db):
+        assert [range_db.index(oid) for oid in range_db.object_ids] == list(range(6))
+        assert "C" in range_db and "Z" not in range_db
+        rest = range_db.without("C")
+        assert rest.object_ids == ("A", "B", "D", "E", "F")
+        assert rest.index("D") == 2 and rest["D"] is range_db["D"]
+        assert type(range_db)(range_db.objects) == range_db
+        assert hash(type(range_db)(range_db.objects)) == hash(range_db)
+        for lookup in (range_db.__getitem__, range_db.index, range_db.without):
+            with pytest.raises(KeyError):
+                lookup("Z")
+
     def test_prob_sum_above_one_rejected(self):
         doc = '{"objects":[{"id":"X","instances":[{"x":0,"y":0,"p":0.7},{"x":1,"y":0,"p":0.5}]}]}'
         with pytest.raises(ValidationError, match="X"):

@@ -1,4 +1,5 @@
-"""Property tests: the sampled estimators against brute force over the same sampled worlds."""
+"""Property tests: the sampled estimators against brute force over the same sampled worlds,
+and the Poisson-binomial kernels against the exact oracle."""
 
 import math
 from collections import Counter
@@ -18,6 +19,7 @@ from uncertain_spatial import (  # noqa: E402
     evaluate_world,
     sample_worlds,
 )
+from uncertain_spatial.queries import answer_objects, answer_range  # noqa: E402
 
 from conftest import make_object  # noqa: E402
 
@@ -72,3 +74,27 @@ def test_sampled_estimates_match_brute_force(case, n, seed):
     probs = estimate_object_probabilities(X, q, pred)
     assert list(probs) == candidates
     assert probs == {oid: hits[oid] / n for oid in candidates}
+
+
+def _assert_close(got, expected):
+    assert list(got) == list(expected)
+    for oid, p in expected.items():
+        assert abs(got[oid] - p) <= 1e-12, oid
+
+
+@settings(max_examples=200, deadline=None)
+@given(queries())
+def test_kernels_match_the_oracle(case):
+    """pbr and gf give the exact per-object probabilities and range count distribution."""
+    db, q, pred = case
+    exact = answer_objects(db, q, pred, "exact")
+    for backend in ("pbr", "gf"):
+        _assert_close(answer_objects(db, q, pred, backend), exact)
+    if isinstance(pred, RangePredicate):
+        exact_probs, exact_counts = answer_range(db, q, pred.epsilon, "exact")
+        _assert_close(exact_probs, exact)
+        for backend in ("pbr", "gf"):
+            probs, counts = answer_range(db, q, pred.epsilon, backend)
+            _assert_close(probs, exact)
+            assert len(counts) == len(exact_counts) == len(exact) + 1
+            assert max(abs(counts.mass - exact_counts.mass)) <= 1e-12
