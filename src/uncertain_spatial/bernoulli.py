@@ -1,6 +1,6 @@
 """Distribution of the sum of independent, non-identical Bernoulli trials.
 
-Two independent O(N^2) computations of the Poisson-binomial probability mass
+Two independent computations of the Poisson-binomial probability mass
 function are provided and cross-checked by the test suite:
 
 * a dynamic-programming recurrence over states (successes so far / trials
@@ -10,6 +10,12 @@ function are provided and cross-checked by the test suite:
 
 The recurrence is the default production path; the generating-function route
 exists as the redundant second implementation.
+
+Both run on the uncertain trials only (0 < p < 1): a trial with p = 0 leaves
+the distribution unchanged and a trial with p = 1 shifts it up by one count,
+in the recurrence and the convolution alike and without rounding.  So with m
+uncertain trials out of N, a call costs O(m^2) plus O(N), and its result is
+bit-identical to running every trial.
 """
 
 from __future__ import annotations
@@ -67,28 +73,40 @@ class CountDistribution:
 
 
 def _validated(probs: Sequence[float]) -> np.ndarray:
-    p = np.asarray(list(probs), dtype=float)
+    p = np.asarray(probs if isinstance(probs, np.ndarray) else list(probs), dtype=float)
     if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
         raise ValidationError("Bernoulli probabilities must be finite and within [0, 1]")
     return p
 
 
+def _uncertain(p: np.ndarray) -> "tuple[np.ndarray, int]":
+    """The trials with 0 < p < 1, in order, and the number of trials with p = 1."""
+    return p[(p > 0.0) & (p < 1.0)], int(np.count_nonzero(p == 1.0))
+
+
+def _shifted(part: np.ndarray, certain: int, n: int) -> CountDistribution:
+    """The full pmf over 0..n counts: ``part`` moved up by the certain successes."""
+    row = np.zeros(n + 1)
+    row[certain : certain + part.size] = part
+    return CountDistribution(row).require_normalized()
+
+
 def poisson_binomial_recurrence(probs: Sequence[float]) -> CountDistribution:
-    """Poisson-binomial pmf by the row recurrence; O(N^2) time, O(N) space.
+    """Poisson-binomial pmf by the row recurrence; O(m^2 + N) time for m uncertain trials.
 
     State (i/j) holds the probability of i successes among the first j
     trials; each trial folds into the row as
     ``P(i/j) = P(i-1/j-1) * p_j + P(i/j-1) * (1 - p_j)``.
     """
     p = _validated(probs)
-    n = p.size
-    row = np.zeros(n + 1)
+    u, certain = _uncertain(p)
+    row = np.zeros(u.size + 1)
     row[0] = 1.0
-    for j in range(1, n + 1):
-        pj = p[j - 1]
+    for j in range(1, u.size + 1):
+        pj = u[j - 1]
         row[1 : j + 1] = row[:j] * pj + row[1 : j + 1] * (1.0 - pj)
         row[0] *= 1.0 - pj
-    return CountDistribution(row).require_normalized()
+    return _shifted(row, certain, p.size)
 
 
 def generating_function(probs: Sequence[float]) -> CountDistribution:
@@ -99,7 +117,8 @@ def generating_function(probs: Sequence[float]) -> CountDistribution:
     time; convolution unifies monomials of equal exponent at every step.
     """
     p = _validated(probs)
+    u, certain = _uncertain(p)
     coeffs = np.array([1.0])  # empty product: certainly zero successes
-    for pi in p:
+    for pi in u:
         coeffs = np.convolve(coeffs, np.array([1.0 - pi, pi]))
-    return CountDistribution(coeffs).require_normalized()
+    return _shifted(coeffs, certain, p.size)

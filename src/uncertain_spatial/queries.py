@@ -35,15 +35,15 @@ from .model import (
 from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
 from .sampling import (
     PossibleResult,
-    estimate_count_distribution,
     estimate_object_probabilities,
+    estimate_range,
     estimate_result_probabilities,
     sample_worlds,
 )
 from .worlds import (  # enumerate_worlds is re-exported for the CLI's worlds listing
     ResultSet,
-    count_distribution,
     enumerate_worlds,
+    object_and_count_based,
     object_based,
     result_based,
 )
@@ -64,6 +64,10 @@ DEFAULT_SEED = 42
 COMPARISON_DIGITS = 12
 
 Query = Union[QueryPoint, str]
+
+#: Most (target instance, database instance) pairs compared in one vector pass
+#: of the kNN and rank closer masses; bounds its memory at a few MB.
+BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -147,19 +151,74 @@ def expected_distance(obj: UncertainObject, q: QueryPoint) -> float:
     )
 
 
-def _closer_probability(
-    competitor: UncertainObject, q_pos, d: float, target_id: str
-) -> float:
-    """Probability that the competitor exists strictly closer than distance d.
+@dataclass(frozen=True)
+class _DistanceTable:
+    """Every instance's distance from one fixed query point, in database order.
 
-    Equal distance counts as closer only when the competitor's id precedes the
-    target's (the global tie rule); absence counts as not closer.
+    Beside each distance sit the instance's probability, its owner's database
+    position and the rank of its owner's id among the database's ids (the
+    tie rule); ``first[j]:first[j + 1]`` are object j's instances.
+    """
+
+    dist: np.ndarray
+    prob: np.ndarray
+    owner: np.ndarray
+    owner_rank: np.ndarray
+    first: np.ndarray
+
+
+def _distance_table(db: UncertainDatabase, point: QueryPoint) -> _DistanceTable:
+    sizes = [len(obj.instances) for obj in db.objects]
+    flat = [inst for obj in db.objects for inst in obj.instances]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    id_rank = np.empty(len(sizes), dtype=np.int64)
+    id_rank[sorted(range(len(sizes)), key=lambda j: db.objects[j].id)] = np.arange(len(sizes))
+    pos = point.position
+    return _DistanceTable(
+        dist=np.array([euclidean_distance(pos, inst.position) for inst in flat], dtype=float),
+        prob=np.array([inst.prob for inst in flat], dtype=float),
+        owner=owner,
+        owner_rank=id_rank[owner],
+        first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+    )
+
+
+def _closer_masses(table: _DistanceTable, j: int):
+    """Yield (probability, closer masses) per instance of object j.
+
+    The closer masses are every other object's probability of lying closer,
+    in database order.  A competitor instance counts when it is strictly
+    nearer, or equally near and its owner's id precedes the target's;
+    absence counts as not closer.  ``np.bincount`` adds each object's
+    instances in order, so every mass is the same float as a sequential
+    loop.  Target instances go through in blocks of at most ``BLOCK_CELLS``
+    (target instance, database instance) pairs.
+    """
+    lo, hi = table.first[j], table.first[j + 1]
+    n = len(table.first) - 1
+    ahead = table.owner_rank < table.owner_rank[lo]
+    step = max(1, BLOCK_CELLS // len(table.dist))
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        d = table.dist[start:stop, None]
+        closer = (table.dist < d) | ((table.dist == d) & ahead)
+        cells = (np.arange(stop - start)[:, None] * n + table.owner).ravel()
+        weights = np.where(closer, table.prob, 0.0).ravel()
+        mass = np.bincount(cells, weights=weights, minlength=(stop - start) * n)
+        rows = np.delete(np.minimum(1.0, mass.reshape(stop - start, n)), j, axis=1)
+        yield from zip(table.prob[start:stop].tolist(), rows)
+
+
+def _knn_probability(table: _DistanceTable, j: int, k: int, kernel: Kernel) -> float:
+    """Object j's kNN probability: each instance's mass times P(at most k-1 closer).
+
+    With k trials certain (exactly 1.0) the kernel's mass below k is exactly
+    zero, so such an instance adds nothing and the kernel is not called.
     """
     total = 0.0
-    for inst in competitor.instances:
-        di = euclidean_distance(q_pos, inst.position)
-        if di < d or (di == d and competitor.id < target_id):
-            total += inst.prob
+    for p, trials in _closer_masses(table, j):
+        if np.count_nonzero(trials == 1.0) < k:
+            total += p * kernel(trials).prob_at_most(k - 1)
     return min(1.0, total)
 
 
@@ -174,16 +233,14 @@ def _mix_over_query(db: UncertainDatabase, q: Query):
         yield inst.prob, QueryPoint(*inst.position), rest
 
 
-def _closer_counts(db: UncertainDatabase, point: QueryPoint, o, kernel: Kernel):
-    """Yield (instance probability, count of other objects strictly closer) per instance."""
-    target = db[o] if isinstance(o, str) else o
-    if target.id not in db:
-        raise KeyError(target.id)
-    others = [obj for obj in db.objects if obj.id != target.id]
-    for inst in target.instances:
-        d = euclidean_distance(point.position, inst.position)
-        closer = [_closer_probability(c, point.position, d, target.id) for c in others]
-        yield inst.prob, kernel(closer)
+def _target_index(db: UncertainDatabase, q: Query, o: Union[UncertainObject, str]) -> int:
+    """Database position of the object to score; ``KeyError`` when it is not in the database."""
+    oid = o if isinstance(o, str) else o.id
+    if oid == q:
+        raise ValidationError(
+            f"object {oid!r} is the query object; it is not ranked against itself"
+        )
+    return db.index(oid)
 
 
 def knn_object_probability(
@@ -197,16 +254,15 @@ def knn_object_probability(
 
     For every instance u of the object, the number of other objects strictly
     closer than u is a Poisson-binomial count; u contributes
-    ``P(u) * P(at most k-1 closer)``.
+    ``P(u) * P(at most k-1 closer)``.  The object is looked up by id, so its
+    instances are the database's.
     """
     if k < 1:
         raise ValidationError("k must be a positive integer")
     parts = []
     for w, point, rest in _mix_over_query(db, q):
-        total = 0.0
-        for p, closer in _closer_counts(rest, point, o, kernel):
-            total += p * closer.prob_at_most(k - 1)
-        parts.append(w * min(1.0, total))
+        j = _target_index(rest, q, o)
+        parts.append(w * _knn_probability(_distance_table(rest, point), j, k, kernel))
     return math.fsum(parts)
 
 
@@ -224,9 +280,10 @@ def rank_distribution(
     """
     mass = 0.0
     for w, point, rest in _mix_over_query(db, q):
+        j = _target_index(rest, q, o)
         part = np.zeros(len(rest))
-        for p, closer in _closer_counts(rest, point, o, kernel):
-            part += p * closer.mass
+        for p, trials in _closer_masses(_distance_table(rest, point), j):
+            part += p * kernel(trials).mass
         mass = mass + w * part
     return CountDistribution(mass)
 
@@ -239,7 +296,8 @@ def _position_probabilities(
         rq = RangeQuery(point, predicate.epsilon)
         return [in_range_probability(obj, rq) for obj in db.objects]
     if isinstance(predicate, KnnPredicate):
-        return [knn_object_probability(db, point, predicate.k, obj, kernel) for obj in db.objects]
+        table = _distance_table(db, point)
+        return [_knn_probability(table, j, predicate.k, kernel) for j in range(len(db))]
     raise ValidationError(f"unsupported spatial predicate {predicate!r}")
 
 
@@ -316,11 +374,9 @@ def answer_range(
     """Per-object in-range probabilities and the in-range count distribution, from the backend."""
     predicate = RangePredicate(epsilon)
     if backend == "exact":
-        return object_based(db, q, predicate), count_distribution(db, q, predicate)
+        return object_and_count_based(db, q, predicate)
     if backend == "sampled":
-        X = sample_worlds(db, samples, seed)
-        estimated = estimate_object_probabilities(X, q, predicate)
-        return estimated, estimate_count_distribution(X, q, epsilon)
+        return estimate_range(sample_worlds(db, samples, seed), q, epsilon)
     kernel = _kernel(backend)
     probs: Dict[str, float] = {}
     mass = 0.0

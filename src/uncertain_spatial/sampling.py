@@ -223,13 +223,20 @@ def estimate_result_probabilities(
     return _supports_from_membership(member, ids)
 
 
+def _frequencies(member: np.ndarray, ids: List[str]) -> Dict[str, float]:
+    return {oid: float(f) for oid, f in zip(ids, member.mean(axis=0))}
+
+
+def _counts(member: np.ndarray) -> CountDistribution:
+    mass = np.bincount(member.sum(axis=1), minlength=member.shape[1] + 1).astype(float)
+    return CountDistribution(mass / len(member))
+
+
 def estimate_object_probabilities(
     X: SampleSet, q: Union[QueryPoint, str], predicate: SpatialPredicate
 ) -> Dict[str, float]:
     """Per-object membership frequency across the sampled worlds."""
-    member, ids = _membership_matrix(X, q, predicate)
-    freq = member.mean(axis=0)
-    return {oid: float(f) for oid, f in zip(ids, freq)}
+    return _frequencies(*_membership_matrix(X, q, predicate))
 
 
 def estimate_count_distribution(
@@ -237,6 +244,12 @@ def estimate_count_distribution(
 ) -> CountDistribution:
     """Empirical distribution of the in-range count across samples (a query object never counts)."""
     member, _ = _membership_matrix(X, q, RangePredicate(epsilon))
-    counts = member.sum(axis=1)
-    mass = np.bincount(counts, minlength=member.shape[1] + 1).astype(float) / len(X)
-    return CountDistribution(mass)
+    return _counts(member)
+
+
+def estimate_range(
+    X: SampleSet, q: Union[QueryPoint, str], epsilon: float
+) -> "tuple[Dict[str, float], CountDistribution]":
+    """Per-object in-range frequencies and the in-range count distribution, from one pass."""
+    member, ids = _membership_matrix(X, q, RangePredicate(epsilon))
+    return _frequencies(member, ids), _counts(member)

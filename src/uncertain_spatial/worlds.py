@@ -169,27 +169,29 @@ def object_based(
     Every non-query object appears in the output, including those with zero
     probability.
     """
-    qobj = resolve_query(db, q)
-    acc: Dict[str, list] = {obj.id: [] for obj in db.objects if obj is not qobj}
-    for world in enumerate_worlds(db, cap):
-        res = evaluate_world(db, world, q, predicate)
-        for oid in res:
-            acc[oid].append(world.prob)
-    return {oid: math.fsum(ps) for oid, ps in acc.items()}
+    return object_and_count_based(db, q, predicate, cap)[0]
 
 
-def count_distribution(
+def object_and_count_based(
     db: UncertainDatabase,
     q: Union[QueryPoint, str],
     predicate,
     cap: int = DEFAULT_WORLD_CAP,
-) -> CountDistribution:
-    """Distribution of the result size, summed over the worlds in enumeration order."""
-    n = len(db) if resolve_query(db, q) is None else len(db) - 1
-    mass = np.zeros(n + 1)
+) -> "tuple[dict[str, float], CountDistribution]":
+    """Per-object marginals (as :func:`object_based`) and the result-size distribution.
+
+    One enumeration feeds both; the size mass is summed over the worlds in
+    enumeration order.
+    """
+    qobj = resolve_query(db, q)
+    acc: Dict[str, list] = {obj.id: [] for obj in db.objects if obj is not qobj}
+    mass = np.zeros(len(acc) + 1)
     for world in enumerate_worlds(db, cap):
-        mass[len(evaluate_world(db, world, q, predicate))] += world.prob
-    return CountDistribution(mass)
+        res = evaluate_world(db, world, q, predicate)
+        for oid in res:
+            acc[oid].append(world.prob)
+        mass[len(res)] += world.prob
+    return {oid: math.fsum(ps) for oid, ps in acc.items()}, CountDistribution(mass)
 
 
 def object_based_from_result_based(rd: "dict[ResultSet, float]") -> "dict[str, float]":

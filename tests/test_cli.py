@@ -330,6 +330,17 @@ class TestErrorHandling:
         assert code == 1
         assert "error" in json.loads(err.strip())
 
+    def test_rank_of_the_query_object(self, capsys):
+        code, out, err = run_cli(
+            ["rank", "--dataset", str(FIXTURES / "consensus_demo.json"),
+             "--query-object", "Q", "--object", "Q"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert "'Q' is the query object" in json.loads(err.strip())["error"]
+
     def test_invalid_dataset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"objects":[{"id":"X","instances":[{"x":0,"y":0,"p":1.4}]}]}')

@@ -89,6 +89,34 @@ def _spatial_cases():
     return groups
 
 
+#: A 100-object database shaped like the knn-scan benchmark workload (2 to 8
+#: instances, 30% existentially uncertain, five clusters), drawn by
+#: ``bench/generate.py``'s ``clustered_database`` with the knn-scan spec and
+#: seed 5.  Many objects are certainly closer than a far candidate here, and
+#: some kNN probabilities are tiny but non-zero (k=10 gives one near 2e-20).
+CLUSTERED = ["--dataset", "fixtures/clustered_demo.json"]
+CLUSTERED_POINTS = (
+    ["--query-x", "600", "--query-y", "450"],
+    ["--query-x", "400", "--query-y", "790"],
+)
+
+
+def _clustered_cases():
+    near, far = CLUSTERED_POINTS
+    cases = []
+    for backend in ("pbr", "gf"):
+        b = ["--backend", backend]
+        cases += [["knn"] + CLUSTERED + near + ["--k", k] + b for k in ("1", "5", "10")]
+        cases += [
+            ["knn"] + CLUSTERED + far + ["--k", "5"] + b,
+            ["knn"] + CLUSTERED + ["--query-object", "o00032", "--k", "5"] + b,
+            ["topk"] + CLUSTERED + ["--query-object", "o00032", "--nn", "5", "--k", "3"] + b,
+            ["rank"] + CLUSTERED + near + ["--object", "o00070"] + b,
+            ["rank"] + CLUSTERED + ["--query-object", "o00055", "--object", "o00045"] + b,
+        ]
+    return cases
+
+
 def _other_cases():
     consensus = ["--dataset", "fixtures/consensus_demo.json"]
     knn = ["--dataset", "fixtures/knn_demo.json", "--query-x", "0", "--query-y", "0"]
@@ -140,7 +168,8 @@ def _other_cases():
         ["knn"] + pcnn_path + ["--query-x", "0", "--query-y", "0", "--k", "1"],
         ["knn"] + worlds + ["--query-x", "0", "--query-y", "0", "--k", "1", "--backend", "bogus"],
     ]
-    return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors}
+    return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors,
+            "clustered": _clustered_cases()}
 
 
 def all_cases():

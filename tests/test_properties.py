@@ -1,13 +1,15 @@
 """Property tests: the sampled estimators against brute force over the same sampled worlds,
-and the Poisson-binomial kernels against the exact oracle."""
+the Poisson-binomial kernels against the exact oracle, and the kernels and the distance-table
+kNN and rank paths against loops that visit every trial and instance one at a time."""
 
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from uncertain_spatial import (  # noqa: E402
     KnnPredicate,
@@ -19,7 +21,19 @@ from uncertain_spatial import (  # noqa: E402
     evaluate_world,
     sample_worlds,
 )
-from uncertain_spatial.queries import answer_objects, answer_range  # noqa: E402
+from uncertain_spatial.bernoulli import (  # noqa: E402
+    CountDistribution,
+    generating_function,
+    poisson_binomial_recurrence,
+)
+from uncertain_spatial.model import euclidean_distance  # noqa: E402
+from uncertain_spatial.queries import (  # noqa: E402
+    answer_objects,
+    answer_range,
+    knn_object_probability,
+    object_probabilities,
+    rank_distribution,
+)
 
 from conftest import make_object  # noqa: E402
 
@@ -98,3 +112,126 @@ def test_kernels_match_the_oracle(case):
             _assert_close(probs, exact)
             assert len(counts) == len(exact_counts) == len(exact) + 1
             assert max(abs(counts.mass - exact_counts.mass)) <= 1e-12
+
+
+def _recurrence_over_every_trial(probs):
+    """The row recurrence run on every trial, certain ones included."""
+    p = np.asarray(list(probs), dtype=float)
+    row = np.zeros(p.size + 1)
+    row[0] = 1.0
+    for j in range(1, p.size + 1):
+        pj = p[j - 1]
+        row[1 : j + 1] = row[:j] * pj + row[1 : j + 1] * (1.0 - pj)
+        row[0] *= 1.0 - pj
+    return CountDistribution(row)
+
+
+def _convolution_over_every_trial(probs):
+    """The generating-function product over every trial, certain ones included."""
+    coeffs = np.array([1.0])
+    for pi in np.asarray(list(probs), dtype=float):
+        coeffs = np.convolve(coeffs, np.array([1.0 - pi, pi]))
+    return CountDistribution(coeffs)
+
+
+#: Trials mixing certain values, the two floats just below 1 and uniform draws.
+TRIALS = st.lists(
+    st.one_of(st.sampled_from((0.0, 1.0, 1 - 2**-52, 1 - 2**-53)), st.floats(0.0, 1.0)),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TRIALS)
+@example([])
+def test_kernels_skip_certain_trials_bit_exactly(probs):
+    for kernel, every_trial in (
+        (poisson_binomial_recurrence, _recurrence_over_every_trial),
+        (generating_function, _convolution_over_every_trial),
+    ):
+        expected = every_trial(probs).mass
+        assert np.array_equal(kernel(probs).mass, expected)
+        assert np.array_equal(kernel(np.array(probs, dtype=float)).mass, expected)
+
+
+def _closer_probability(competitor, q_pos, d, target_id):
+    """Scalar reference: the competitor's mass strictly closer than d, ties to the smaller id."""
+    total = 0.0
+    for inst in competitor.instances:
+        di = euclidean_distance(q_pos, inst.position)
+        if di < d or (di == d and competitor.id < target_id):
+            total += inst.prob
+    return min(1.0, total)
+
+
+def _closer_counts(db, point, oid, kernel):
+    """Scalar reference: (instance probability, closer-count distribution) per instance."""
+    others = [obj for obj in db.objects if obj.id != oid]
+    for inst in db[oid].instances:
+        d = euclidean_distance(point.position, inst.position)
+        yield inst.prob, kernel([_closer_probability(c, point.position, d, oid) for c in others])
+
+
+def _positions(db, q):
+    if isinstance(q, str):
+        rest = db.without(q)
+        return [(inst.prob, QueryPoint(*inst.position), rest) for inst in db[q].instances]
+    return [(1.0, q, db)]
+
+
+def _reference_knn(db, q, k, oid, kernel):
+    parts = []
+    for w, point, rest in _positions(db, q):
+        total = 0.0
+        for p, closer in _closer_counts(rest, point, oid, kernel):
+            total += p * closer.prob_at_most(k - 1)
+        parts.append(w * min(1.0, total))
+    return math.fsum(parts)
+
+
+def _reference_rank(db, q, oid, kernel):
+    mass = 0.0
+    for w, point, rest in _positions(db, q):
+        part = np.zeros(len(rest))
+        for p, closer in _closer_counts(rest, point, oid, kernel):
+            part += p * closer.mass
+        mass = mass + w * part
+    return CountDistribution(mass).mass
+
+
+@st.composite
+def knn_cases(draw):
+    """(db, query, k): a grid point or a certain object, k anywhere in 1..N."""
+    db = draw(databases())
+    certain = [o.id for o in db.objects if not o.is_existentially_uncertain]
+    if certain and len(db) > 1 and draw(st.booleans()):
+        q = draw(st.sampled_from(certain))
+    else:
+        q = QueryPoint(float(draw(GRID)), float(draw(GRID)))
+    n = len(db) - isinstance(q, str)
+    return db, q, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_cases())
+def test_distance_table_matches_the_scalar_reference(case):
+    """kNN probabilities and rank masses equal the per-instance scalar loop bit for bit."""
+    db, q, k = case
+    targets = [oid for oid in db.object_ids if oid != q]
+    for kernel, every_trial in (
+        (poisson_binomial_recurrence, _recurrence_over_every_trial),
+        (generating_function, _convolution_over_every_trial),
+    ):
+        expected = {oid: _reference_knn(db, q, k, oid, every_trial) for oid in targets}
+        assert {oid: knn_object_probability(db, q, k, oid, kernel) for oid in targets} == expected
+        # all objects at once, accumulated over the query's positions as object_probabilities does
+        acc = {}
+        for w, point, rest in _positions(db, q):
+            for oid in rest.object_ids:
+                p = _reference_knn(rest, point, k, oid, every_trial)
+                acc[oid] = acc.get(oid, 0.0) + w * p
+        assert object_probabilities(db, q, KnnPredicate(k), kernel) == acc
+        for oid in targets:
+            assert np.array_equal(
+                rank_distribution(db, q, oid, kernel).mass, _reference_rank(db, q, oid, every_trial)
+            )

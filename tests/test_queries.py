@@ -19,6 +19,7 @@ from uncertain_spatial import (
     in_range_probability,
     knn_object_probability,
     object_based,
+    poisson_binomial_recurrence,
     query_probability,
     range_count_distribution,
     rank_distribution,
@@ -26,7 +27,10 @@ from uncertain_spatial import (
     topk_predicate,
 )
 
-from conftest import make_object, random_db, world_rank_of
+from uncertain_spatial import queries
+from uncertain_spatial.queries import object_probabilities
+
+from conftest import fixture_db, make_object, random_db, world_rank_of
 
 Q0 = QueryPoint(0.0, 0.0)
 RANGE100 = RangeQuery(Q0, 100.0)
@@ -226,6 +230,29 @@ class TestKnnObjectProbability:
         with pytest.raises(KeyError):
             knn_object_probability(knn_db, Q0, 1, "nope")
 
+    def test_query_object_rejected(self, consensus_db):
+        with pytest.raises(ValidationError, match="'Q' is the query object"):
+            knn_object_probability(consensus_db, "Q", 1, "Q")
+
+    def test_kernel_skipped_when_k_objects_are_certainly_closer(self):
+        db = UncertainDatabase(
+            (
+                make_object("A", [(1, 0, 1.0)]),
+                make_object("B", [(0, 2, 1.0)]),
+                make_object("C", [(3, 0, 0.5), (0, 5, 0.5)]),
+            )
+        )
+        calls = []
+
+        def kernel(trials):
+            calls.append(list(trials))
+            return poisson_binomial_recurrence(trials)
+
+        assert knn_object_probability(db, Q0, 2, "C", kernel) == 0.0
+        assert calls == []
+        assert knn_object_probability(db, Q0, 3, "C", kernel) == 1.0
+        assert calls == [[1.0, 1.0], [1.0, 1.0]]
+
     def test_equal_distances_break_by_object_id(self):
         """Two instances at identical distance rank by id, kernel and oracle alike."""
         db = UncertainDatabase(
@@ -281,6 +308,24 @@ class TestRankDistribution:
         )
         cd = rank_distribution(db, Q0, "A")
         assert cd.total() == pytest.approx(0.9, abs=1e-9)
+
+    def test_query_object_rejected(self, consensus_db):
+        with pytest.raises(ValidationError, match="'Q' is the query object"):
+            rank_distribution(consensus_db, "Q", "Q")
+
+
+class TestDistanceTableBlocks:
+    @pytest.mark.parametrize("block_instances", [1, 3])
+    def test_block_size_does_not_change_results(self, block_instances, monkeypatch):
+        """Target instances compared one or three at a time give the same floats."""
+        db = fixture_db("clustered_demo.json")
+        q = QueryPoint(600.0, 450.0)
+        expected = object_probabilities(db, q, KnnPredicate(5))
+        ranks = rank_distribution(db, q, "o00070").mass
+        n_instances = sum(len(obj.instances) for obj in db.objects)
+        monkeypatch.setattr(queries, "BLOCK_CELLS", block_instances * n_instances)
+        assert object_probabilities(db, q, KnnPredicate(5)) == expected
+        assert np.array_equal(rank_distribution(db, q, "o00070").mass, ranks)
 
 
 class TestExpectedDistance:
