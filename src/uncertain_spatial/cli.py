@@ -10,6 +10,7 @@ errors, and 2 when an exact computation exceeds its size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -80,8 +81,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser():
-    """The argument parser and its subcommand parsers by name."""
+    """The argument parser and its subcommand parsers by name, built on first use."""
     parser = _Parser(prog="uspatial", description="Probabilistic spatial queries")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    except (ValidationError, KeyError, OSError, ValueError) as exc:
+    except (ValidationError, KeyError, OSError, ValueError, OverflowError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         sys.stderr.write(json.dumps({"error": str(message)}) + "\n")
         return 1

@@ -5,6 +5,11 @@ carrying a probability; if the probabilities sum to less than one, the
 remainder is the probability that the object does not exist at all
 (existential uncertainty).  Distinct objects are stochastically independent.
 Databases are immutable after construction and safe to share across threads.
+
+A database's instance table (``UncertainDatabase.table``, built on first use) is
+the one flat-array form of its instances, read by the kNN, rank and sampling paths.
+Every distance is the float ``euclidean_distance`` gives for the pair, also when
+``distance_matrix`` computes many at once, so distance ties fall alike on every path.
 """
 
 from __future__ import annotations
@@ -12,14 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Dict, Iterable, Optional, Union
+
+import numpy as np
 
 #: Tolerance for probability-sum checks.  Double-precision accumulation over
 #: up to ~10^4 instances stays well inside this bound.
 PROB_TOL = 1e-9
-
-Position = "tuple[float, float]"
-
 
 class UncertainSpatialError(Exception):
     """Base class for all errors raised by this package."""
@@ -36,6 +41,18 @@ class CapExceededError(UncertainSpatialError):
 def euclidean_distance(a: "tuple[float, float]", b: "tuple[float, float]") -> float:
     """Euclidean distance between two 2-D points."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def distance_matrix(points, positions: np.ndarray) -> np.ndarray:
+    """``euclidean_distance(points[a], positions[b])`` at ``[a, b]``, bit for bit.
+
+    The differences are exact IEEE subtractions; the norm must be ``math.hypot``,
+    as ``np.hypot`` rounds some pairs differently.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    dx, dy = pts[:, :1] - positions[:, 0], pts[:, 1:] - positions[:, 1]
+    norms = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+    return np.fromiter(norms, dtype=float, count=dx.size).reshape(dx.shape)
 
 
 @dataclass(frozen=True)
@@ -121,6 +138,24 @@ class UncertainObject:
 
 
 @dataclass(frozen=True)
+class InstanceTable:
+    """Every instance of a database as flat arrays, in database and file order.
+
+    Rows ``first[j]:first[j + 1]`` are object j's instances.  Beside each position and
+    probability sits the owner's database position.  Per object, ``id_rank[j]`` is the rank
+    of its id among the database's ids (the distance tie rule) and ``certain[j]`` says that
+    it exists in every world.
+    """
+
+    positions: np.ndarray
+    prob: np.ndarray
+    owner: np.ndarray
+    first: np.ndarray
+    id_rank: np.ndarray
+    certain: np.ndarray
+
+
+@dataclass(frozen=True)
 class UncertainDatabase:
     """An ordered collection of independent uncertain objects.
 
@@ -159,6 +194,23 @@ class UncertainDatabase:
     def object_ids(self) -> "tuple[str, ...]":
         return tuple(obj.id for obj in self.objects)
 
+    @cached_property
+    def table(self) -> InstanceTable:
+        """The database's instance table, built on first use."""
+        objs = self.objects
+        sizes = [len(obj.instances) for obj in objs]
+        flat = [inst for obj in objs for inst in obj.instances]
+        id_rank = np.empty(len(objs), dtype=np.int64)
+        id_rank[sorted(range(len(objs)), key=lambda j: objs[j].id)] = np.arange(len(objs))
+        return InstanceTable(
+            positions=np.array([inst.position for inst in flat], dtype=float).reshape(-1, 2),
+            prob=np.array([inst.prob for inst in flat], dtype=float),
+            owner=np.repeat(np.arange(len(objs)), sizes),
+            first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            id_rank=id_rank,
+            certain=np.array([not obj.is_existentially_uncertain for obj in objs], dtype=bool),
+        )
+
     def without(self, object_id: str) -> "UncertainDatabase":
         """A copy of the database with one object removed (order preserved)."""
         i = self._positions[object_id]
@@ -194,7 +246,7 @@ def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
         for idx, inst in enumerate(raw_instances):
             try:
                 x, y, p = float(inst["x"]), float(inst["y"]), float(inst["p"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"object {oid!r}: malformed instance {idx}") from exc
             instances.append(Instance(object_id=oid, index=idx, position=(x, y), prob=p))
         built.append(UncertainObject(id=oid, instances=tuple(instances)))

@@ -25,10 +25,12 @@ import numpy as np
 
 from .bernoulli import CountDistribution, generating_function, poisson_binomial_recurrence
 from .model import (
+    InstanceTable,
     QueryPoint,
     UncertainDatabase,
     UncertainObject,
     ValidationError,
+    distance_matrix,
     euclidean_distance,
     resolve_query,
 )
@@ -151,40 +153,8 @@ def expected_distance(obj: UncertainObject, q: QueryPoint) -> float:
     )
 
 
-@dataclass(frozen=True)
-class _DistanceTable:
-    """Every instance's distance from one fixed query point, in database order.
-
-    Beside each distance sit the instance's probability, its owner's database
-    position and the rank of its owner's id among the database's ids (the
-    tie rule); ``first[j]:first[j + 1]`` are object j's instances.
-    """
-
-    dist: np.ndarray
-    prob: np.ndarray
-    owner: np.ndarray
-    owner_rank: np.ndarray
-    first: np.ndarray
-
-
-def _distance_table(db: UncertainDatabase, point: QueryPoint) -> _DistanceTable:
-    sizes = [len(obj.instances) for obj in db.objects]
-    flat = [inst for obj in db.objects for inst in obj.instances]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    id_rank = np.empty(len(sizes), dtype=np.int64)
-    id_rank[sorted(range(len(sizes)), key=lambda j: db.objects[j].id)] = np.arange(len(sizes))
-    pos = point.position
-    return _DistanceTable(
-        dist=np.array([euclidean_distance(pos, inst.position) for inst in flat], dtype=float),
-        prob=np.array([inst.prob for inst in flat], dtype=float),
-        owner=owner,
-        owner_rank=id_rank[owner],
-        first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-    )
-
-
-def _closer_masses(table: _DistanceTable, j: int):
-    """Yield (probability, closer masses) per instance of object j.
+def _closer_masses(table: InstanceTable, dist: np.ndarray, j: int):
+    """Yield (probability, closer masses) per instance of object j, given every instance's ``dist``.
 
     The closer masses are every other object's probability of lying closer,
     in database order.  A competitor instance counts when it is strictly
@@ -196,12 +166,12 @@ def _closer_masses(table: _DistanceTable, j: int):
     """
     lo, hi = table.first[j], table.first[j + 1]
     n = len(table.first) - 1
-    ahead = table.owner_rank < table.owner_rank[lo]
-    step = max(1, BLOCK_CELLS // len(table.dist))
+    ahead = table.id_rank[table.owner] < table.id_rank[j]
+    step = max(1, BLOCK_CELLS // len(dist))
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        d = table.dist[start:stop, None]
-        closer = (table.dist < d) | ((table.dist == d) & ahead)
+        d = dist[start:stop, None]
+        closer = (dist < d) | ((dist == d) & ahead)
         cells = (np.arange(stop - start)[:, None] * n + table.owner).ravel()
         weights = np.where(closer, table.prob, 0.0).ravel()
         mass = np.bincount(cells, weights=weights, minlength=(stop - start) * n)
@@ -209,14 +179,14 @@ def _closer_masses(table: _DistanceTable, j: int):
         yield from zip(table.prob[start:stop].tolist(), rows)
 
 
-def _knn_probability(table: _DistanceTable, j: int, k: int, kernel: Kernel) -> float:
-    """Object j's kNN probability: each instance's mass times P(at most k-1 closer).
+def _knn_probability(masses, k: int, kernel: Kernel) -> float:
+    """kNN probability from an object's closer masses: instance mass times P(at most k-1 closer).
 
     With k trials certain (exactly 1.0) the kernel's mass below k is exactly
     zero, so such an instance adds nothing and the kernel is not called.
     """
     total = 0.0
-    for p, trials in _closer_masses(table, j):
+    for p, trials in masses:
         if np.count_nonzero(trials == 1.0) < k:
             total += p * kernel(trials).prob_at_most(k - 1)
     return min(1.0, total)
@@ -262,7 +232,8 @@ def knn_object_probability(
     parts = []
     for w, point, rest in _mix_over_query(db, q):
         j = _target_index(rest, q, o)
-        parts.append(w * _knn_probability(_distance_table(rest, point), j, k, kernel))
+        dist = distance_matrix([point.position], rest.table.positions)[0]
+        parts.append(w * _knn_probability(_closer_masses(rest.table, dist, j), k, kernel))
     return math.fsum(parts)
 
 
@@ -282,7 +253,8 @@ def rank_distribution(
     for w, point, rest in _mix_over_query(db, q):
         j = _target_index(rest, q, o)
         part = np.zeros(len(rest))
-        for p, trials in _closer_masses(_distance_table(rest, point), j):
+        dist = distance_matrix([point.position], rest.table.positions)[0]
+        for p, trials in _closer_masses(rest.table, dist, j):
             part += p * kernel(trials).mass
         mass = mass + w * part
     return CountDistribution(mass)
@@ -296,8 +268,9 @@ def _position_probabilities(
         rq = RangeQuery(point, predicate.epsilon)
         return [in_range_probability(obj, rq) for obj in db.objects]
     if isinstance(predicate, KnnPredicate):
-        table = _distance_table(db, point)
-        return [_knn_probability(table, j, predicate.k, kernel) for j in range(len(db))]
+        dist = distance_matrix([point.position], db.table.positions)[0]
+        masses = (_closer_masses(db.table, dist, j) for j in range(len(db)))
+        return [_knn_probability(m, predicate.k, kernel) for m in masses]
     raise ValidationError(f"unsupported spatial predicate {predicate!r}")
 
 

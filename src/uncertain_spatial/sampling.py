@@ -23,10 +23,11 @@ import numpy as np
 
 from .bernoulli import CountDistribution
 from .model import (
+    InstanceTable,
     QueryPoint,
     UncertainDatabase,
     ValidationError,
-    euclidean_distance,
+    distance_matrix,
     resolve_query,
 )
 from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
@@ -51,10 +52,21 @@ def _substreams(seed: int, n: int) -> np.ndarray:
 
 
 def _uniforms(streams: np.ndarray, counter: int) -> np.ndarray:
-    """One uniform in [0, 1) per stream for the given draw counter."""
+    """One uniform in [0, 1) per stream for the given draw counter (a Python int)."""
     key = np.uint64(((counter + 1) * _GAMMA) & _MASK64)
     z = _mix64(streams + key)
     return (z >> np.uint64(11)) * 2.0**-53
+
+
+def _branches(table: InstanceTable, j: int, u: np.ndarray) -> np.ndarray:
+    """Object j's branch at each uniform: an instance index, or -1 for absence.
+
+    Past the cumulative sum lies absence, or round-off in a certain object (its last instance).
+    """
+    lo, hi = table.first[j], table.first[j + 1]
+    idx = np.searchsorted(np.cumsum(table.prob[lo:hi]), u, side="right")
+    idx[idx == hi - lo] = hi - lo - 1 if table.certain[j] else -1
+    return idx
 
 
 @dataclass(frozen=True)
@@ -80,15 +92,7 @@ class SampleSet:
 
     def column(self, j: int) -> np.ndarray:
         """Instance index drawn for object j (database order) per sample; -1 when absent."""
-        obj = self.db.objects[j]
-        cum = np.cumsum([inst.prob for inst in obj.instances])
-        idx = np.searchsorted(cum, _uniforms(self._streams, j), side="right")
-        if obj.is_existentially_uncertain:
-            idx[idx == len(obj.instances)] = -1  # absence branch
-        else:
-            # guard against float round-off in the cumulative sum
-            idx[idx == len(obj.instances)] = len(obj.instances) - 1
-        return idx
+        return _branches(self.db.table, j, _uniforms(self._streams, j))
 
     @cached_property
     def choices(self) -> np.ndarray:
@@ -101,16 +105,12 @@ class SampleSet:
 
     def worlds(self) -> Iterator[PossibleWorld]:
         """Materialize the samples as possible worlds (probabilities recomputed)."""
-        for row in self.choices:
-            picks = {}
+        objs = self.db.objects
+        for row in self.choices.tolist():
             prob = 1.0
-            for obj, idx in zip(self.db.objects, row):
-                if idx < 0:
-                    picks[obj.id] = None
-                    prob *= obj.absence_prob
-                else:
-                    picks[obj.id] = int(idx)
-                    prob *= obj.instances[int(idx)].prob
+            for obj, idx in zip(objs, row):
+                prob *= obj.absence_prob if idx < 0 else obj.instances[idx].prob
+            picks = {obj.id: None if idx < 0 else idx for obj, idx in zip(objs, row)}
             yield PossibleWorld(picks, prob)
 
 
@@ -129,15 +129,6 @@ def sample_worlds(db: UncertainDatabase, n: int, seed: int = 42) -> SampleSet:
     return SampleSet(db=db, seed=seed, n=n)
 
 
-def _distance_table(q_positions, obj) -> np.ndarray:
-    """Distance per (query position, object instance); the last column (absent) is +inf."""
-    table = np.full((len(q_positions), len(obj.instances) + 1), np.inf)
-    for qi, qp in enumerate(q_positions):
-        for ii, inst in enumerate(obj.instances):
-            table[qi, ii] = euclidean_distance(qp, inst.position)
-    return table
-
-
 def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
     """Boolean membership per (sample, object), columns in sorted-id order.
 
@@ -151,46 +142,40 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
     Returns (member matrix, sorted candidate ids).
     """
     db = X.db
+    table = db.table
     qobj = resolve_query(db, q)
     if qobj is None:
         q_col, q_positions = None, [q.position]
     else:
         q_col, q_positions = db.index(q), [inst.position for inst in qobj.instances]
     n = len(X)
-    cols = [j for j in range(len(db)) if j != q_col]
+    cols = [j for j in np.argsort(table.id_rank).tolist() if j != q_col]
     ids = [db.objects[j].id for j in cols]
-    order = np.argsort(ids, kind="stable")
-    cols = [cols[i] for i in order]
-    ids = [ids[i] for i in order]
-    tables = [_distance_table(q_positions, db.objects[j]) for j in cols]
+    inst_dist = distance_matrix(q_positions, table.positions)  # per (query position, instance)
+    near = np.minimum.reduceat(inst_dist.min(axis=0), table.first[:-1])
 
     if isinstance(predicate, RangePredicate):
         bound = predicate.epsilon
     elif isinstance(predicate, KnnPredicate):
-        reach = sorted(
-            float(table[:, :-1].max())
-            for table, j in zip(tables, cols)
-            if not db.objects[j].is_existentially_uncertain
-        )
+        far = np.maximum.reduceat(inst_dist.max(axis=0), table.first[:-1])
+        reach = np.sort(far[[j for j in cols if table.certain[j]]])
         bound = reach[predicate.k - 1] if len(reach) >= predicate.k else math.inf
     else:
         raise ValidationError(f"unsupported spatial predicate {predicate!r}")
-    keep = [c for c, table in enumerate(tables) if table.min() <= bound]
+    keep = [c for c, j in enumerate(cols) if near[j] <= bound]
 
     q_idx = np.zeros(n, dtype=np.int64) if q_col is None else X.column(q_col)
     dist = np.empty((n, len(keep)))
     for out_j, c in enumerate(keep):
-        dist[:, out_j] = tables[c][q_idx, X.column(cols[c])]
+        idx = X.column(cols[c])
+        dist[:, out_j] = np.where(idx < 0, np.inf, inst_dist[q_idx, table.first[cols[c]] + idx])
     if isinstance(predicate, RangePredicate):
         kept = dist <= predicate.epsilon
     else:
-        # stable argsort on id-ordered columns realizes the (distance, id) tie rule
-        order = np.argsort(dist, axis=1, kind="stable")
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(len(keep)), dist.shape), axis=1)
-        existing = np.isfinite(dist)
-        cutoff = np.minimum(predicate.k, existing.sum(axis=1))[:, None]
-        kept = (ranks < cutoff) & existing
+        # a stable argsort of id-ordered columns is the tie rule: its first k present are members
+        top = np.argsort(dist, axis=1, kind="stable")[:, : predicate.k]
+        kept = np.zeros(dist.shape, dtype=bool)
+        np.put_along_axis(kept, top, np.take_along_axis(np.isfinite(dist), top, axis=1), axis=1)
     member = np.zeros((n, len(cols)), dtype=bool)
     member[:, keep] = kept
     return member, ids

@@ -26,17 +26,21 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from .model import (
     PROB_TOL,
     CapExceededError,
+    Instance,
+    UncertainDatabase,
+    UncertainObject,
     ValidationError,
+    distance_matrix,
     euclidean_distance,
 )
-from .sampling import _substreams, _uniforms
+from .sampling import _branches, _substreams, _uniforms
 
 #: Default cap on joint alternative combinations enumerated per timestamp.
 DEFAULT_JOINT_CAP = 2**22
@@ -166,7 +170,7 @@ def _parse_trajectory(record) -> UncertainTrajectory:
             parsed[t] = tuple(
                 ((float(a["x"]), float(a["y"])), float(a["p"])) for a in alts
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"trajectory {trajectory_id!r}: malformed alternative at timestamp {key}"
             ) from exc
@@ -220,9 +224,7 @@ class ExactTrajectoryBackend:
         ds = self.dataset
         target = ds[object_id]
         competitors = [o for o in ds.objects if o.id != object_id]
-        joint = len(ds.query.per_timestamp[t]) * len(target.per_timestamp[t])
-        for c in competitors:
-            joint *= len(c.per_timestamp[t])
+        joint = math.prod(len(traj.per_timestamp[t]) for traj in (ds.query, *ds.objects))
         if joint > self.cap:
             raise CapExceededError(
                 f"timestamp {t}: {joint} joint alternative combinations exceed cap {self.cap}"
@@ -276,43 +278,26 @@ class SampledTrajectoryBackend:
         timestamps = ds.timestamps
         if len(timestamps) > 63:
             raise CapExceededError("sampled backend supports at most 63 timestamps")
-        rows = (ds.query, *ds.objects)
+        if not ds.objects:
+            return NNBitmapSample(timestamps=timestamps, masks={})
         streams = _substreams(self.seed, self.n)
         n_t = len(timestamps)
-        # choice index per (trajectory row, timestamp), one uniform per pair
-        choices = {}
-        for r, traj in enumerate(rows):
-            for bi, t in enumerate(timestamps):
-                alts = traj.per_timestamp[t]
-                cum = np.cumsum([p for _, p in alts])
-                u = _uniforms(streams, r * n_t + bi)
-                idx = np.searchsorted(cum, u, side="right")
-                idx[idx == len(alts)] = len(alts) - 1  # cumulative round-off guard
-                choices[(r, bi)] = idx
-        ids = [o.id for o in ds.objects]
-        if not ids:
-            return NNBitmapSample(timestamps=timestamps, masks={})
-        id_order = np.argsort(ids, kind="stable")
-        masks = {oid: np.zeros(self.n, dtype=np.uint64) for oid in ids}
+        rows = (ds.query, *ds.objects)
+        masks = np.zeros((len(ds.objects), self.n), dtype=np.uint64)
         for bi, t in enumerate(timestamps):
-            q_alts = ds.query.per_timestamp[t]
-            q_idx = choices[(0, bi)]
-            dist = np.empty((self.n, len(ids)))
-            for col, obj_pos in enumerate(id_order):
-                traj = ds.objects[obj_pos]
-                alts = traj.per_timestamp[t]
-                table = np.empty((len(q_alts), len(alts)))
-                for qi, (q_pos, _) in enumerate(q_alts):
-                    for ai, (pos, _) in enumerate(alts):
-                        table[qi, ai] = euclidean_distance(q_pos, pos)
-                dist[:, col] = table[q_idx, choices[(obj_pos + 1, bi)]]
-            # columns are in id order, so first-minimum realizes the tie rule
-            winner = np.argmin(dist, axis=1)
-            bit = np.uint64(1 << bi)
-            for col, obj_pos in enumerate(id_order):
-                oid = ds.objects[obj_pos].id
-                masks[oid] = masks[oid] | np.where(winner == col, bit, np.uint64(0))
-        return NNBitmapSample(timestamps=timestamps, masks=masks)
+            # the rows' alternatives at t as one uncertain database, whose row r draws with
+            # counter r * n_t + bi; the query is row 0
+            table = UncertainDatabase(tuple(UncertainObject(traj.id, tuple(
+                Instance(traj.id, i, pos, p) for i, (pos, p) in enumerate(traj.per_timestamp[t])
+            )) for traj in rows)).table
+            draw = [_branches(table, r, _uniforms(streams, r * n_t + bi)) for r in range(len(rows))]
+            dist = distance_matrix(table.positions[: table.first[1]], table.positions)
+            # objects in id order, so the first minimum realizes the tie rule
+            by_id = [r for r in np.argsort(table.id_rank).tolist() if r != 0]
+            picks = np.column_stack([table.first[r] + draw[r] for r in by_id])
+            winner = np.asarray(by_id)[np.argmin(dist[draw[0][:, None], picks], axis=1)]
+            masks[winner - 1, np.arange(self.n)] |= np.uint64(1 << bi)
+        return NNBitmapSample(timestamps=timestamps, masks=dict(zip(ds.object_ids, masks)))
 
     def _mask_of(self, timestamps: Iterable[int]) -> np.uint64:
         positions = {t: i for i, t in enumerate(self.sample.timestamps)}
@@ -472,12 +457,13 @@ def pcnn_query(
 
 
 def maximal_timestamp_sets(results: Sequence[TimestampSet]) -> List[TimestampSet]:
-    """Filter to sets that are not proper subsets of another reported set."""
-    keep = []
-    for ts in results:
-        s = set(ts.timestamps)
-        if not any(
-            s < set(other.timestamps) for other in results if other is not ts
-        ):
-            keep.append(ts)
-    return keep
+    """Filter to sets that are not proper subsets of another reported set.
+
+    Distinct sets go largest first, each kept unless a kept set strictly contains
+    it; input order and duplicates are preserved.
+    """
+    maximal: Set[frozenset] = set()
+    for s in sorted({frozenset(ts.timestamps) for ts in results}, key=len, reverse=True):
+        if not any(s < m for m in maximal):
+            maximal.add(s)
+    return [ts for ts in results if frozenset(ts.timestamps) in maximal]

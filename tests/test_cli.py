@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from uncertain_spatial import cli
 from uncertain_spatial.cli import dumps_canonical, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -391,6 +392,38 @@ class TestErrorHandling:
         assert out == ""
         assert json.loads(err.strip())["error"]
 
+    def test_integer_beyond_float_range_in_dataset(self, tmp_path, capsys):
+        """A 401-digit integer literal is refused like any malformed instance."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"objects": [
+            {"id": "X", "instances": [{"x": 10**400, "y": 0, "p": 1}]}
+        ]}))
+        code, out, err = run_cli(
+            ["range", "--dataset", str(bad), "--query-x", "0", "--query-y", "0",
+             "--epsilon", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "'X': malformed instance 0" in json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("path, value", [
+        (("objects", 0, "per_timestamp", "1", 0, "x"), 10**400),
+        (("timestamps", 0), math.inf),
+    ], ids=["alternative-beyond-float", "infinite-timestamp"])
+    def test_number_beyond_range_in_trajectories(self, path, value, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "pcnn_demo.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["pcnn", "--dataset", str(bad), "--tau", "0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip())["error"]
+
     @pytest.mark.parametrize("command, config", [
         ("knn", {"k": "two"}),
         ("knn", {"k": True}),
@@ -474,6 +507,16 @@ class TestConfigAndOutput:
         code, out, _ = run_cli(base + ["--config", str(cfg)], capsys)
         assert code == 0
         assert out == expected
+
+    def test_config_leaves_no_trace_on_the_next_call(self, tmp_path, capsys):
+        """The parser is built once per process; a --config call does not change later calls."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": "sampled", "samples": 300, "k": 1}))
+        _, plain, _ = run_cli(KNN_ARGS, capsys)
+        code, configured, _ = run_cli(KNN_ARGS[:-2] + ["--config", str(cfg)], capsys)
+        assert code == 0 and configured != plain
+        assert run_cli(KNN_ARGS, capsys) == (0, plain, "")
+        assert cli._build_parser() is cli._build_parser()
 
     def test_config_boolean_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

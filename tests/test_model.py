@@ -8,13 +8,16 @@ import pytest
 
 from uncertain_spatial import (
     QueryPoint,
+    UncertainDatabase,
     ValidationError,
     dumps_database,
     euclidean_distance,
     loads_database,
 )
 
-from conftest import random_db
+from uncertain_spatial.model import distance_matrix
+
+from conftest import make_object, random_db
 
 
 class TestLoading:
@@ -123,3 +126,35 @@ class TestDistance:
     def test_query_point_requires_finite(self):
         with pytest.raises(ValidationError):
             QueryPoint(math.nan, 0.0)
+
+
+class TestInstanceTable:
+    def test_layout(self):
+        """Instances flat in database and file order; id ranks and certainty per object."""
+        db = UncertainDatabase((
+            make_object("B", [(0, 0, 0.5), (3, 4, 0.25)]),
+            make_object("A", [(1, 2, 1.0)]),
+            make_object("C", [(5, 6, 0.5), (7, 8, 0.5)]),
+        ))
+        t = db.table
+        assert t.positions.tolist() == [[0, 0], [3, 4], [1, 2], [5, 6], [7, 8]]
+        assert t.prob.tolist() == [0.5, 0.25, 1.0, 0.5, 0.5]
+        assert t.owner.tolist() == [0, 0, 1, 2, 2]
+        assert t.first.tolist() == [0, 2, 3, 5]
+        assert t.id_rank.tolist() == [1, 0, 2]
+        assert t.certain.tolist() == [False, True, True]
+        assert db.table is t  # built once
+
+    def test_empty_database(self):
+        t = UncertainDatabase(()).table
+        assert t.positions.shape == (0, 2)
+        assert t.prob.size == t.owner.size == t.id_rank.size == t.certain.size == 0
+        assert t.first.tolist() == [0]
+        assert distance_matrix([(1.0, 1.0)], t.positions).shape == (1, 0)
+
+    def test_distance_matrix_matches_euclidean_distance(self):
+        db = random_db(np.random.default_rng(8))
+        points = [(0.1, -3.0), (7.5, 2.25)]
+        got = distance_matrix(points, db.table.positions)
+        flat = [inst.position for obj in db.objects for inst in obj.instances]
+        assert got.tolist() == [[euclidean_distance(p, q) for q in flat] for p in points]

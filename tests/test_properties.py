@@ -1,6 +1,8 @@
 """Property tests: the sampled estimators against brute force over the same sampled worlds,
-the Poisson-binomial kernels against the exact oracle, and the kernels and the distance-table
-kNN and rank paths against loops that visit every trial and instance one at a time."""
+the Poisson-binomial kernels against the exact oracle, the kernels and the instance-table
+kNN and rank paths against loops that visit every trial and instance one at a time, the
+batched distances against ``euclidean_distance``, exact invariance of every path under integer
+translation and quarter-turn rotation, and the maximal-set filter against the quadratic one."""
 
 import math
 from collections import Counter
@@ -26,14 +28,16 @@ from uncertain_spatial.bernoulli import (  # noqa: E402
     generating_function,
     poisson_binomial_recurrence,
 )
-from uncertain_spatial.model import euclidean_distance  # noqa: E402
+from uncertain_spatial.model import distance_matrix, euclidean_distance  # noqa: E402
 from uncertain_spatial.queries import (  # noqa: E402
+    KERNELS,
     answer_objects,
     answer_range,
     knn_object_probability,
     object_probabilities,
     rank_distribution,
 )
+from uncertain_spatial.trajectories import TimestampSet, maximal_timestamp_sets  # noqa: E402
 
 from conftest import make_object  # noqa: E402
 
@@ -235,3 +239,117 @@ def test_distance_table_matches_the_scalar_reference(case):
             assert np.array_equal(
                 rank_distribution(db, q, oid, kernel).mass, _reference_rank(db, q, oid, every_trial)
             )
+
+
+@st.composite
+def coordinates(draw):
+    """A coordinate at a magnitude from 1e-3 to 1e8, of either sign."""
+    return draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.integers(-3, 8))
+
+
+POINTS = st.lists(st.tuples(coordinates(), coordinates()), max_size=8)
+
+
+def _euclidean_matrix(points, positions):
+    return np.array(
+        [[euclidean_distance(p, q) for q in positions] for p in points], dtype=float
+    ).reshape(len(points), len(positions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINTS, POINTS, st.integers(0, 2**32 - 1), st.integers(-3, 8), st.integers(-3, 8))
+@example([], [], 0, 0, 0)
+def test_distance_matrix_is_euclidean_distance_bit_for_bit(
+    points, positions, seed, e_points, e_positions
+):
+    """Drawn edge values plus a seeded block of generic floats (where ``np.hypot`` would differ)."""
+    rng = np.random.default_rng(seed)
+    points = points + [tuple(p) for p in rng.uniform(-1, 1, (20, 2)) * 10.0**e_points]
+    positions = positions + [tuple(p) for p in rng.uniform(-1, 1, (40, 2)) * 10.0**e_positions]
+    for pts, pos in ((points, positions), ([], positions), (points, [])):
+        got = distance_matrix(pts, np.array(pos, dtype=float).reshape(-1, 2))
+        assert np.array_equal(got, _euclidean_matrix(pts, pos))
+
+
+def _translate(dx, dy):
+    return lambda x, y: (x + dx, y + dy)
+
+
+def _quarter_turn(x, y):
+    return (-y, x)
+
+
+def _moved(db, q, f):
+    """The database and query with every instance (and a query point) mapped by f."""
+    objects = tuple(
+        make_object(o.id, [(*f(*inst.position), inst.prob) for inst in o.instances])
+        for o in db.objects
+    )
+    return UncertainDatabase(objects), q if isinstance(q, str) else QueryPoint(*f(q.x, q.y))
+
+
+def _answers(db, q, k, eps):
+    """Every kernel kNN, rank, range and sampled-support answer for one query."""
+    targets = [oid for oid in db.object_ids if oid != q]
+    out = []
+    for backend in ("pbr", "gf"):
+        probs, counts = answer_range(db, q, eps, backend)
+        out += [
+            answer_objects(db, q, KnnPredicate(k), backend),
+            probs,
+            counts.mass.tolist(),
+            [rank_distribution(db, q, oid, KERNELS[backend]).mass.tolist() for oid in targets],
+        ]
+    X = sample_worlds(db, 50, 3)
+    for pred in (KnnPredicate(k), RangePredicate(eps)):
+        out.append([(r.result, r.support) for r in estimate_result_probabilities(X, q, pred)])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    knn_cases(),
+    st.sampled_from((0.0, 1.0, math.sqrt(2), 2.0, math.sqrt(5), 3.0)),
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.integers(1, 3),
+)
+def test_integer_translation_and_quarter_turns_change_nothing(case, eps, dx, dy, turns):
+    """Grid distances keep every bit when moved or turned, so every answer is ``==``."""
+    db, q, k = case
+    expected = _answers(db, q, k, eps)
+    assert _answers(*_moved(db, q, _translate(dx, dy)), k, eps) == expected
+    turned = (db, q)
+    for _ in range(turns):
+        turned = _moved(*turned, _quarter_turn)
+    assert _answers(*turned, k, eps) == expected
+
+
+def _quadratic_maximal(results):
+    """The all-pairs filter: keep an entry unless another entry's set strictly contains it."""
+    keep = []
+    for ts in results:
+        s = set(ts.timestamps)
+        if not any(s < set(other.timestamps) for other in results if other is not ts):
+            keep.append(ts)
+    return keep
+
+
+@st.composite
+def timestamp_families(draw):
+    """Entries over six timestamps with repeated sets and entries; not downward-closed."""
+    pool = draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1), min_size=1, max_size=12))
+    entries = [
+        TimestampSet(tuple(s), draw(st.sampled_from((0.1, 0.5, 1.0))))
+        for s in draw(st.lists(st.sampled_from(pool), max_size=30))
+    ]
+    if entries and draw(st.booleans()):
+        entries.append(draw(st.sampled_from(entries)))  # the same object twice
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(timestamp_families())
+@example([])
+def test_maximal_sets_match_the_quadratic_filter(results):
+    assert maximal_timestamp_sets(results) == _quadratic_maximal(results)

@@ -28,7 +28,7 @@ from uncertain_spatial import (
 )
 
 from uncertain_spatial import queries
-from uncertain_spatial.queries import object_probabilities
+from uncertain_spatial.queries import answer_objects, answer_range, object_probabilities
 
 from conftest import fixture_db, make_object, random_db, world_rank_of
 
@@ -368,3 +368,33 @@ class TestUncertainQuery:
             assert knn_object_probability(consensus_db, "Q", 2, oid) == pytest.approx(
                 oracle[oid], abs=1e-9
             )
+
+
+class TestDegenerateDatabases:
+    @pytest.mark.parametrize("backend", ["pbr", "gf", "exact", "sampled"])
+    def test_empty_database(self, backend):
+        db = UncertainDatabase(())
+        assert answer_objects(db, Q0, KnnPredicate(1), backend) == {}
+        probs, counts = answer_range(db, Q0, 1.0, backend)
+        assert probs == {} and counts.mass.tolist() == [1.0]
+
+    @pytest.mark.parametrize("backend", ["pbr", "gf", "exact", "sampled"])
+    def test_query_object_is_the_only_object(self, backend):
+        db = UncertainDatabase((make_object("Q", [(0, 0, 0.5), (1, 0, 0.5)]),))
+        assert answer_objects(db, "Q", KnnPredicate(1), backend) == {}
+        probs, counts = answer_range(db, "Q", 1.0, backend)
+        assert probs == {} and counts.mass.tolist() == [1.0]
+
+    @pytest.mark.parametrize("backend", ["pbr", "gf"])
+    def test_range_never_builds_the_instance_table(self, backend):
+        """Range answers object by object; only kNN, rank and sampling need the table."""
+        db = fixture_db("clustered_demo.json")
+        answer_range(db, QueryPoint(600.0, 450.0), 50.0, backend)
+        assert "table" not in vars(db)
+
+    def test_one_instance_objects(self):
+        db = UncertainDatabase(tuple(make_object(f"O{i}", [(i, 0, 1.0)]) for i in range(4)))
+        assert object_probabilities(db, Q0, KnnPredicate(2)) == {
+            "O0": 1.0, "O1": 1.0, "O2": 0.0, "O3": 0.0
+        }
+        assert rank_distribution(db, Q0, "O2").mass.tolist() == [0.0, 0.0, 1.0, 0.0]

@@ -148,6 +148,26 @@ class TestResultEstimation:
             assert abs(cd.mass[k] - p) <= 5 * sigma + 1e-12
 
 
+    def test_absent_draws_are_never_members(self):
+        """An absent object's draw (-1) is +inf away: it never ranks, nor lies in range."""
+        db = UncertainDatabase((
+            make_object("A", [(1, 0, 0.5)]),
+            make_object("B", [(2, 0, 1.0)]),
+        ))
+        X = sample_worlds(db, 400, seed=4)
+        present = X.column(0) == 0
+        assert 0 < present.sum() < 400
+        supports = {
+            r.result.members: r.support
+            for r in estimate_result_probabilities(X, Q0, KnnPredicate(1))
+        }
+        assert supports == {("A",): int(present.sum()), ("B",): int((~present).sum())}
+        near = estimate_result_probabilities(X, Q0, RangePredicate(1e9))
+        assert {r.result.members: r.support for r in near} == {
+            ("A", "B"): int(present.sum()), ("B",): int((~present).sum())
+        }
+
+
 class TestJaccardDistance:
     def test_known_values(self):
         assert jaccard_distance(ResultSet.of("AB"), ResultSet.of("AC")) == pytest.approx(2 / 3)

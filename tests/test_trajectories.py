@@ -13,12 +13,15 @@ from uncertain_spatial import (
     TrajectoryDataset,
     UncertainTrajectory,
     ValidationError,
+    euclidean_distance,
     loads_trajectory_dataset,
     maximal_timestamp_sets,
     pc_tau_nn,
     pcnn_query,
     pfann_probability,
 )
+
+from uncertain_spatial.sampling import _substreams, _uniforms
 
 from conftest import FIXTURES
 
@@ -189,6 +192,55 @@ class TestSampledBackend:
         b = SampledTrajectoryBackend(demo_dataset, 1000, seed=5)
         for oid in demo_dataset.object_ids:
             assert np.array_equal(a.sample.masks[oid], b.sample.masks[oid])
+
+
+def grid_dataset(rng, n_t=4, n_obj=4, max_alts=3):
+    """Alternatives on a 5x5 integer grid, so equal distances (and id tie-breaks) are common."""
+
+    def grid_traj(tid):
+        spec = {}
+        for t in range(n_t):
+            m = int(rng.integers(1, max_alts + 1))
+            spec[t] = [(*rng.integers(0, 5, size=2).tolist(), 1.0 / m) for _ in range(m)]
+        return traj(tid, spec)
+
+    ids = [f"o{i}" for i in rng.permutation(n_obj)]  # ids out of database order
+    return TrajectoryDataset(
+        timestamps=tuple(range(n_t)), query=grid_traj("q"), objects=tuple(map(grid_traj, ids))
+    )
+
+
+def reference_bitmap(ds, n, seed):
+    """Winner bitmasks from a per-sample loop: row r draws timestamp b with counter r * T + b."""
+    streams = _substreams(seed, n)
+    rows = (ds.query, *ds.objects)
+    n_t = len(ds.timestamps)
+    masks = {o.id: np.zeros(n, dtype=np.uint64) for o in ds.objects}
+    for b, t in enumerate(ds.timestamps):
+        picks = []
+        for r, tr in enumerate(rows):
+            alts = tr.per_timestamp[t]
+            u = _uniforms(streams, r * n_t + b)
+            idx = np.searchsorted(np.cumsum([p for _, p in alts]), u, side="right")
+            picks.append([alts[min(i, len(alts) - 1)][0] for i in idx.tolist()])
+        for i in range(n):
+            win = min(
+                range(len(ds.objects)),
+                key=lambda o: (euclidean_distance(picks[0][i], picks[o + 1][i]), ds.objects[o].id),
+            )
+            masks[ds.objects[win].id][i] |= np.uint64(1 << b)
+    return masks
+
+
+class TestSampledBitmap:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitmap_matches_a_per_sample_loop(self, seed):
+        ds = grid_dataset(np.random.default_rng(seed))
+        got = SampledTrajectoryBackend(ds, 300, seed=seed).sample.masks
+        expected = reference_bitmap(ds, 300, seed)
+        assert list(got) == list(expected)
+        for oid in expected:
+            assert np.array_equal(got[oid], expected[oid]), oid
 
 
 class TestLattice:
