@@ -39,13 +39,7 @@ from .queries import (
     sampled_results,
 )
 from .representatives import cluster_representatives, max_cover_representatives
-from .trajectories import (
-    load_trajectory_dataset,
-    maximal_timestamp_sets,
-    pc_tau_nn,
-    pcnn_query,
-    trajectory_backend,
-)
+from .trajectories import answer_pcnn, load_trajectory_dataset
 
 
 def dumps_canonical(value) -> str:
@@ -320,17 +314,9 @@ def _cmd_reps(args, db) -> dict:
 def _cmd_pcnn(args, dataset) -> dict:
     if args.tau is None:
         raise ValidationError("pcnn requires --tau")
-    backend = trajectory_backend(dataset, args.backend, args.samples, args.seed)
-    domain = dataset.timestamps
-    if args.object is not None:
-        if args.object not in dataset.object_ids:
-            raise ValidationError(f"object {args.object!r} not in dataset")
-        found = pc_tau_nn(dataset, args.object, domain, args.tau, backend)
-        results = {args.object: found} if found else {}
-    else:
-        results = pcnn_query(dataset, domain, args.tau, backend)
-    if args.maximal:
-        results = {oid: maximal_timestamp_sets(sets) for oid, sets in results.items()}
+    results = answer_pcnn(
+        dataset, args.tau, args.backend, args.samples, args.seed, args.object, args.maximal
+    )
     return {
         "tau": args.tau,
         "results": {

@@ -7,7 +7,8 @@ remainder is the probability that the object does not exist at all
 Databases are immutable after construction and safe to share across threads.
 
 A database's instance table (``UncertainDatabase.table``, built on first use) is
-the one flat-array form of its instances, read by the kNN, rank and sampling paths.
+the one flat-array form of its instances, read by the kNN, rank and sampling paths;
+a trajectory dataset keeps one such table per timestamp.
 Every distance is the float ``euclidean_distance`` gives for the pair, also when
 ``distance_matrix`` computes many at once, so distance ties fall alike on every path.
 """
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Dict, Iterable, Optional, Union
+from typing import IO, Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -154,6 +155,25 @@ class InstanceTable:
     id_rank: np.ndarray
     certain: np.ndarray
 
+    @classmethod
+    def of(cls, ids: Sequence[str], blocks: Sequence[Sequence[tuple]]) -> "InstanceTable":
+        """The table of objects ``ids``, object j's instances being the ``(position, prob)``
+        pairs of ``blocks[j]`` in order."""
+        sizes = [len(block) for block in blocks]
+        flat = [alt for block in blocks for alt in block]
+        id_rank = np.empty(len(ids), dtype=np.int64)
+        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return cls(
+            positions=np.array([pos for pos, _ in flat], dtype=float).reshape(-1, 2),
+            prob=np.array([p for _, p in flat], dtype=float),
+            owner=np.repeat(np.arange(len(ids)), sizes),
+            first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            id_rank=id_rank,
+            certain=np.array(
+                [math.fsum(p for _, p in block) >= 1.0 - PROB_TOL for block in blocks], dtype=bool
+            ),
+        )
+
 
 @dataclass(frozen=True)
 class UncertainDatabase:
@@ -197,18 +217,9 @@ class UncertainDatabase:
     @cached_property
     def table(self) -> InstanceTable:
         """The database's instance table, built on first use."""
-        objs = self.objects
-        sizes = [len(obj.instances) for obj in objs]
-        flat = [inst for obj in objs for inst in obj.instances]
-        id_rank = np.empty(len(objs), dtype=np.int64)
-        id_rank[sorted(range(len(objs)), key=lambda j: objs[j].id)] = np.arange(len(objs))
-        return InstanceTable(
-            positions=np.array([inst.position for inst in flat], dtype=float).reshape(-1, 2),
-            prob=np.array([inst.prob for inst in flat], dtype=float),
-            owner=np.repeat(np.arange(len(objs)), sizes),
-            first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-            id_rank=id_rank,
-            certain=np.array([not obj.is_existentially_uncertain for obj in objs], dtype=bool),
+        return InstanceTable.of(
+            self.object_ids,
+            [[(inst.position, inst.prob) for inst in obj.instances] for obj in self.objects],
         )
 
     def without(self, object_id: str) -> "UncertainDatabase":

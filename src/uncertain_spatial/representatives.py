@@ -24,52 +24,17 @@ from .model import ValidationError
 from .sampling import PossibleResult
 from .worlds import ResultSet
 
-# Coefficients of Acklam's rational approximation to the standard normal
-# quantile (relative error < 1.15e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
 def standard_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF.
-
-    Acklam's rational approximation followed by one Halley refinement step
-    against the erfc-based CDF; absolute error is far below 1e-8 across (0, 1).
-    """
+    """Inverse standard normal CDF: ``-inf`` at 0, ``inf`` at 1."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("quantile argument must lie in [0, 1]")
     if p == 0.0:
         return -math.inf
     if p == 1.0:
         return math.inf
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((( _C[0]*q + _C[1])*q + _C[2])*q + _C[3])*q + _C[4])*q + _C[5]) / \
-            (((( _D[0]*q + _D[1])*q + _D[2])*q + _D[3])*q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((( _A[0]*r + _A[1])*r + _A[2])*r + _A[3])*r + _A[4])*r + _A[5]) * q / \
-            ((((( _B[0]*r + _B[1])*r + _B[2])*r + _B[3])*r + _B[4])*r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((( _C[0]*q + _C[1])*q + _C[2])*q + _C[3])*q + _C[4])*q + _C[5]) / \
-            (((( _D[0]*q + _D[1])*q + _D[2])*q + _D[3])*q + 1.0)
-    # Halley refinement: Phi(x) via erfc is accurate to machine precision.
-    # Beyond |x| ~ 37 the correction underflows/overflows; the raw
-    # approximation is already far below the 1e-8 error budget there.
-    if abs(x) < 37.0:
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-        u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    # imported on use, not at CLI start-up: statistics pulls in decimal and fractions
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(p)
 
 
 def alpha_confidence(p_hat: float, n: int, alpha: float) -> float:
@@ -286,16 +251,16 @@ def _weighted_silhouette(dist: np.ndarray, weights: np.ndarray, labels: np.ndarr
     return 0.0 if weight_sum == 0.0 else score_sum / weight_sum
 
 
-def _choose_cluster_count(dist: np.ndarray, weights: np.ndarray) -> int:
+def _choose_clustering(dist: np.ndarray, weights: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """The PAM clustering with the best weighted silhouette over k in 2..min(8, m - 1)."""
     m = dist.shape[0]
-    candidates = range(2, min(8, m - 1) + 1)
-    best_k, best_score = None, -math.inf
-    for k in candidates:
-        _, labels = pam_kmedoids(dist, weights, k)
+    best, best_score = None, -math.inf
+    for k in range(2, min(8, m - 1) + 1):
+        medoids, labels = pam_kmedoids(dist, weights, k)
         score = _weighted_silhouette(dist, weights, labels)
         if score > best_score + 1e-12:
-            best_k, best_score = k, score
-    return best_k if best_k is not None else min(2, m)
+            best, best_score = (medoids, labels), score
+    return best if best is not None else pam_kmedoids(dist, weights, min(2, m))
 
 
 def cluster_representatives(
@@ -326,8 +291,9 @@ def cluster_representatives(
     if len(pr) < 2:
         return [_make_representative(pr, dist, supports, n_samples, 0, 0.0, alpha)]
     if k is None:
-        k = _choose_cluster_count(dist, weights=supports.astype(float))
-    medoids, labels = pam_kmedoids(dist, supports.astype(float), k)
+        medoids, labels = _choose_clustering(dist, supports.astype(float))
+    else:
+        medoids, labels = pam_kmedoids(dist, supports.astype(float), k)
 
     reps: List[Representative] = []
     for c in range(len(medoids)):

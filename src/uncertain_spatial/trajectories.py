@@ -13,11 +13,16 @@ query interval are found level-wise, Apriori style: only supersets whose
 probability is exactly one are factored out up front and re-attached to every
 result, which cannot change any probability.
 
-Two probability backends plug in: exact per-timestamp enumeration of the
-joint alternative combinations (multiplied across timestamps, which is exact
-under the independence model), and Monte-Carlo sampling with one fixed sample
-set shared across the whole lattice so that estimated probabilities are
-anti-monotone by construction.
+Each timestamp is a set of x-tuples, as in a spatial database: a dataset keeps
+one instance table per timestamp (the query as row 0), and both probability
+backends read only those tables.  The exact backend enumerates the joint
+alternative combinations per timestamp (multiplied across timestamps, which is
+exact under the independence model); the sampled backend shares one fixed
+sample set across the whole lattice, so estimated probabilities are
+anti-monotone by construction.  ``answer_pcnn`` is the one entry point over both.
+
+In the JSON format, timestamps are distinct integers, written as canonical
+decimal ``per_timestamp`` keys, and ids are strings.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -33,12 +39,9 @@ import numpy as np
 from .model import (
     PROB_TOL,
     CapExceededError,
-    Instance,
-    UncertainDatabase,
-    UncertainObject,
+    InstanceTable,
     ValidationError,
     distance_matrix,
-    euclidean_distance,
 )
 from .sampling import _branches, _substreams, _uniforms
 
@@ -89,32 +92,44 @@ class TrajectoryDataset:
     timestamps: "tuple[int, ...]"
     query: UncertainTrajectory
     objects: "tuple[UncertainTrajectory, ...]"
+    _rows: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         domain = tuple(sorted(self.timestamps))
         object.__setattr__(self, "timestamps", domain)
         if not domain:
             raise ValidationError("trajectory dataset has no timestamps")
-        seen = {self.query.id}
-        for traj in self.objects:
-            if traj.id in seen:
+        rows = {}
+        for r, traj in enumerate(self.objects, 1):
+            if traj.id in rows or traj.id == self.query.id:
                 raise ValidationError(f"duplicate trajectory id {traj.id!r}")
-            seen.add(traj.id)
+            rows[traj.id] = r
+        object.__setattr__(self, "_rows", rows)
+        repeated = sorted({a for a, b in zip(domain, domain[1:]) if a == b})
+        if repeated:
+            raise ValidationError(f"trajectory dataset repeats timestamps {repeated}")
         for traj in (self.query, *self.objects):
             if traj.timestamps != domain:
                 raise ValidationError(
                     f"trajectory {traj.id!r} does not cover the shared timestamp domain"
                 )
 
-    def __getitem__(self, object_id: str) -> UncertainTrajectory:
-        for traj in self.objects:
-            if traj.id == object_id:
-                return traj
-        raise KeyError(object_id)
+    def row(self, object_id: str) -> int:
+        """The object's row in every per-timestamp table; ``KeyError`` when absent."""
+        return self._rows[object_id]
 
     @property
     def object_ids(self) -> "tuple[str, ...]":
         return tuple(t.id for t in self.objects)
+
+    @cached_property
+    def tables(self) -> "dict[int, InstanceTable]":
+        """Per timestamp, the instance table of the query (row 0) and the objects, built on
+        first use."""
+        rows = (self.query, *self.objects)
+        ids = [traj.id for traj in rows]
+        return {t: InstanceTable.of(ids, [traj.per_timestamp[t] for traj in rows])
+                for t in self.timestamps}
 
 
 @dataclass(frozen=True)
@@ -130,24 +145,13 @@ class TimestampSet:
             raise ValidationError("timestamp set must be non-empty")
 
 
-@dataclass(frozen=True)
-class NNBitmapSample:
-    """Per sampled world and candidate object, the bitmask of timestamps won.
-
-    Bit b of ``masks[oid][i]`` is set when the object is the strict nearest
-    neighbor of the query at ``timestamps[b]`` in sample i; per world and
-    timestamp exactly one object's bit is set.
-    """
-
-    timestamps: "tuple[int, ...]"
-    masks: "dict[str, np.ndarray]"
-
-
 def _parse_trajectory(record) -> UncertainTrajectory:
     try:
-        trajectory_id = str(record["id"])
+        trajectory_id = record["id"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"trajectory record has no id: {record!r:.40}") from exc
+    if not isinstance(trajectory_id, str):
+        raise ValidationError(f"trajectory id {trajectory_id!r} is not a string")
     try:
         raw = record["per_timestamp"]
     except (KeyError, TypeError) as exc:
@@ -162,10 +166,10 @@ def _parse_trajectory(record) -> UncertainTrajectory:
     for key, alts in raw.items():
         try:
             t = int(key)
-        except ValueError as exc:
-            raise ValidationError(
-                f"trajectory {trajectory_id!r}: bad timestamp key {key!r}"
-            ) from exc
+        except ValueError:
+            t = None
+        if t is None or str(t) != key:
+            raise ValidationError(f"trajectory {trajectory_id!r}: bad timestamp key {key!r}")
         try:
             parsed[t] = tuple(
                 ((float(a["x"]), float(a["y"])), float(a["p"])) for a in alts
@@ -184,11 +188,14 @@ def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed trajectory JSON: {exc}") from exc
     try:
-        timestamps = tuple(int(t) for t in doc["timestamps"])
+        timestamps = doc["timestamps"]
         query_rec = doc["query"]
         object_recs = doc["objects"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"trajectory dataset missing field: {exc}") from exc
+    # type, not isinstance: a bool is an int
+    if not isinstance(timestamps, list) or any(type(t) is not int for t in timestamps):
+        raise ValidationError('trajectory dataset "timestamps" must be an array of integers')
     if not isinstance(object_recs, list):
         raise ValidationError('trajectory dataset "objects" must be an array')
     query = _parse_trajectory(query_rec)
@@ -221,28 +228,30 @@ class ExactTrajectoryBackend:
         key = (object_id, t)
         if key in self._win_cache:
             return self._win_cache[key]
-        ds = self.dataset
-        target = ds[object_id]
-        competitors = [o for o in ds.objects if o.id != object_id]
-        joint = math.prod(len(traj.per_timestamp[t]) for traj in (ds.query, *ds.objects))
+        j = self.dataset.row(object_id)
+        table = self.dataset.tables[t]
+        first = table.first.tolist()
+        # Python ints: the product of alternative counts overflows int64 long before the cap
+        joint = math.prod(np.diff(first).tolist())
         if joint > self.cap:
             raise CapExceededError(
                 f"timestamp {t}: {joint} joint alternative combinations exceed cap {self.cap}"
             )
+        # beaten[a, i, b]: instance b's probability if it lies closer to query alternative a
+        # than the object's alternative i does, or as close with its owner's id sorting first
+        dist = distance_matrix(table.positions[: first[1]], table.positions)
+        d = dist[:, first[j] : first[j + 1], None]
+        ahead = table.id_rank[table.owner] < table.id_rank[j]
+        beaten = np.where((dist[:, None] < d) | ((dist[:, None] == d) & ahead), table.prob, 0.0)
+        competitors = [(first[c], first[c + 1]) for c in range(1, len(first) - 1) if c != j]
+        target = table.prob[first[j] : first[j + 1]].tolist()
         terms = []
         all_certain = True
-        for q_pos, q_p in ds.query.per_timestamp[t]:
-            for o_pos, o_p in target.per_timestamp[t]:
-                d = euclidean_distance(q_pos, o_pos)
-                win_given = 1.0
-                for c in competitors:
-                    beaten = math.fsum(
-                        p
-                        for pos, p in c.per_timestamp[t]
-                        if euclidean_distance(q_pos, pos) < d
-                        or (euclidean_distance(q_pos, pos) == d and c.id < object_id)
-                    )
-                    win_given *= 1.0 - beaten
+        for q_p, per_alt in zip(table.prob[: first[1]].tolist(), beaten.tolist()):
+            for o_p, row in zip(target, per_alt):
+                win_given = math.prod(
+                    (1.0 - math.fsum(row[lo:hi]) for lo, hi in competitors), start=1.0
+                )
                 all_certain = all_certain and win_given == 1.0
                 terms.append(q_p * o_p * win_given)
         win = 1.0 if all_certain else min(1.0, math.fsum(terms))
@@ -259,10 +268,12 @@ class ExactTrajectoryBackend:
 class SampledTrajectoryBackend:
     """Monte-Carlo NN probabilities from one fixed shared sample set.
 
-    Every trajectory position at every timestamp is drawn once for n worlds;
-    per world, the strict nearest neighbor at each timestamp sets one bit of
-    the winner's bitmask.  Estimated probabilities are exactly anti-monotone
-    under subset containment because they count bitmask coverage.
+    Every trajectory position at every timestamp is drawn once for n worlds.
+    Bit b of ``masks[oid][i]`` is set when the object is the strict nearest
+    neighbor of the query at the b-th timestamp in world i, so per world and
+    timestamp exactly one object's bit is set.  Estimated probabilities are
+    exactly anti-monotone under subset containment because they count bitmask
+    coverage.
     """
 
     def __init__(self, dataset: TrajectoryDataset, n: int, seed: int = 42):
@@ -271,61 +282,49 @@ class SampledTrajectoryBackend:
         self.dataset = dataset
         self.n = n
         self.seed = seed
-        self.sample = self._build_bitmap()
+        self._bits = {t: 1 << b for b, t in enumerate(dataset.timestamps)}
+        self.masks = self._build_bitmap()
 
-    def _build_bitmap(self) -> NNBitmapSample:
+    def _build_bitmap(self) -> "dict[str, np.ndarray]":
         ds = self.dataset
-        timestamps = ds.timestamps
-        if len(timestamps) > 63:
+        n_t = len(ds.timestamps)
+        if n_t > 63:
             raise CapExceededError("sampled backend supports at most 63 timestamps")
         if not ds.objects:
-            return NNBitmapSample(timestamps=timestamps, masks={})
+            return {}
         streams = _substreams(self.seed, self.n)
-        n_t = len(timestamps)
-        rows = (ds.query, *ds.objects)
         masks = np.zeros((len(ds.objects), self.n), dtype=np.uint64)
-        for bi, t in enumerate(timestamps):
-            # the rows' alternatives at t as one uncertain database, whose row r draws with
-            # counter r * n_t + bi; the query is row 0
-            table = UncertainDatabase(tuple(UncertainObject(traj.id, tuple(
-                Instance(traj.id, i, pos, p) for i, (pos, p) in enumerate(traj.per_timestamp[t])
-            )) for traj in rows)).table
-            draw = [_branches(table, r, _uniforms(streams, r * n_t + bi)) for r in range(len(rows))]
+        for bi, t in enumerate(ds.timestamps):
+            table = ds.tables[t]
+            # row r draws with counter r * n_t + bi; the query is row 0
+            draw = [_branches(table, r, _uniforms(streams, r * n_t + bi))
+                    for r in range(len(table.first) - 1)]
             dist = distance_matrix(table.positions[: table.first[1]], table.positions)
             # objects in id order, so the first minimum realizes the tie rule
             by_id = [r for r in np.argsort(table.id_rank).tolist() if r != 0]
             picks = np.column_stack([table.first[r] + draw[r] for r in by_id])
             winner = np.asarray(by_id)[np.argmin(dist[draw[0][:, None], picks], axis=1)]
             masks[winner - 1, np.arange(self.n)] |= np.uint64(1 << bi)
-        return NNBitmapSample(timestamps=timestamps, masks=dict(zip(ds.object_ids, masks)))
-
-    def _mask_of(self, timestamps: Iterable[int]) -> np.uint64:
-        positions = {t: i for i, t in enumerate(self.sample.timestamps)}
-        mask = 0
-        for t in timestamps:
-            if t not in positions:
-                raise ValidationError(f"timestamp {t} outside the dataset domain")
-            mask |= 1 << positions[t]
-        return np.uint64(mask)
+        return dict(zip(ds.object_ids, masks))
 
     def pfann(self, object_id: str, timestamps: Iterable[int]) -> float:
-        want = self._mask_of(timestamps)
-        got = self.sample.masks[object_id]
-        return float(np.count_nonzero((got & want) == want)) / self.n
+        want = np.uint64(sum(self._bits[t] for t in set(timestamps)))
+        return float(np.count_nonzero((self.masks[object_id] & want) == want)) / self.n
 
 
 Backend = Union[ExactTrajectoryBackend, SampledTrajectoryBackend]
 
 
-def trajectory_backend(
-    dataset: TrajectoryDataset, name: str = "exact", samples: int = 10000, seed: int = 42
-) -> Backend:
-    """The named backend: ``exact`` enumeration or ``sampled`` shared Monte-Carlo worlds."""
-    if name == "exact":
-        return ExactTrajectoryBackend(dataset)
-    if name == "sampled":
-        return SampledTrajectoryBackend(dataset, samples, seed)
-    raise ValidationError(f"unknown trajectory backend {name!r}; expected exact or sampled")
+def _checked(dataset: TrajectoryDataset, object_id: str, timestamps: Iterable[int], what: str):
+    """The sorted distinct timestamps; they lie in the domain and the object exists."""
+    ts = tuple(sorted(set(timestamps)))
+    if not ts:
+        raise ValidationError(f"{what} must be non-empty")
+    unknown = set(ts) - set(dataset.timestamps)
+    if unknown:
+        raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
+    dataset.row(object_id)
+    return ts
 
 
 def pfann_probability(
@@ -337,14 +336,7 @@ def pfann_probability(
     """Probability that the object is the query's NN at every given timestamp."""
     if backend is None:
         backend = ExactTrajectoryBackend(dataset)
-    ts = tuple(sorted(set(timestamps)))
-    if not ts:
-        raise ValidationError("timestamp set must be non-empty")
-    unknown = set(ts) - set(dataset.timestamps)
-    if unknown:
-        raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
-    dataset[object_id]  # raises KeyError for unknown objects
-    return backend.pfann(object_id, ts)
+    return backend.pfann(object_id, _checked(dataset, object_id, timestamps, "timestamp set"))
 
 
 def _powerset(items: Sequence[int]):
@@ -359,7 +351,6 @@ def pc_tau_nn(
     tau: float,
     backend: Optional[Backend] = None,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
-    factor_certain: bool = True,
 ) -> List[TimestampSet]:
     """All subsets of the query interval where the object's NN probability >= tau.
 
@@ -373,13 +364,7 @@ def pc_tau_nn(
         raise ValidationError("tau must lie in (0, 1]")
     if backend is None:
         backend = ExactTrajectoryBackend(dataset)
-    domain = tuple(sorted(set(timestamps)))
-    if not domain:
-        raise ValidationError("query interval must be non-empty")
-    unknown = set(domain) - set(dataset.timestamps)
-    if unknown:
-        raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
-    dataset[object_id]
+    domain = _checked(dataset, object_id, timestamps, "query interval")
 
     budget = lattice_cap
 
@@ -395,7 +380,7 @@ def pc_tau_nn(
     for t in domain:
         spend(1)
         singles[t] = backend.pfann(object_id, (t,))
-    certain = tuple(t for t in domain if factor_certain and singles[t] == 1.0)
+    certain = tuple(t for t in domain if singles[t] == 1.0)
     rest = tuple(t for t in domain if t not in certain)
 
     qualified: Dict[Tuple[int, ...], float] = {}
@@ -453,6 +438,39 @@ def pcnn_query(
         found = pc_tau_nn(dataset, traj.id, domain, tau, backend, lattice_cap)
         if found:
             results[traj.id] = found
+    return results
+
+
+def answer_pcnn(
+    dataset: TrajectoryDataset,
+    tau: float,
+    backend: str = "exact",
+    samples: int = 10000,
+    seed: int = 42,
+    object_id: Optional[str] = None,
+    maximal: bool = False,
+) -> Dict[str, List[TimestampSet]]:
+    """Qualifying timestamp sets over the whole domain, per object with any.
+
+    ``backend`` is ``exact`` enumeration or ``sampled`` shared Monte-Carlo worlds
+    (``samples`` worlds from ``seed``).  With ``object_id`` only that object is
+    searched; with ``maximal`` only sets that no reported set strictly contains are kept.
+    """
+    if backend == "exact":
+        engine: Backend = ExactTrajectoryBackend(dataset)
+    elif backend == "sampled":
+        engine = SampledTrajectoryBackend(dataset, samples, seed)
+    else:
+        raise ValidationError(f"unknown trajectory backend {backend!r}; expected exact or sampled")
+    if object_id is None:
+        results = pcnn_query(dataset, dataset.timestamps, tau, engine)
+    elif object_id not in dataset.object_ids:
+        raise ValidationError(f"object {object_id!r} not in dataset")
+    else:
+        found = pc_tau_nn(dataset, object_id, dataset.timestamps, tau, engine)
+        results = {object_id: found} if found else {}
+    if maximal:
+        results = {oid: maximal_timestamp_sets(sets) for oid, sets in results.items()}
     return results
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +424,42 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"timestamps": [True, 2.9]}, "array of integers"),
+        ({"timestamps": [0, 1.0, 2]}, "array of integers"),
+        ({"timestamps": "ab"}, "array of integers"),
+        ({"timestamps": [0, 1, 2, 2]}, r"repeats timestamps \[2\]"),
+        ({"key": "1_0"}, "bad timestamp key '1_0'"),
+        ({"key": " 10 "}, "bad timestamp key ' 10 '"),
+        ({"key": "010"}, "bad timestamp key '010'"),
+        ({"object_id": 1}, "trajectory id 1 is not a string"),
+        ({"query_id": 1, "object_id": "1"}, "trajectory id 1 is not a string"),
+    ], ids=["bool-and-float", "integral-float", "string", "duplicate", "underscore-key",
+            "padded-key", "zero-padded-key", "number-id", "number-query-id"])
+    def test_trajectory_loader_does_not_coerce(self, edit, message, tmp_path, capsys):
+        """Timestamps are distinct JSON integers, keys their canonical decimals, ids strings.
+
+        Each edit would otherwise read as a valid dataset, or fail on a misleading check.
+        """
+        doc = json.loads((FIXTURES / "pcnn_demo.json").read_text())
+        if "key" in edit:  # timestamp 1 renamed to a spelling of 10 in every trajectory
+            doc["timestamps"] = [0, 2, 10]
+            for traj in [doc["query"]] + doc["objects"]:
+                traj["per_timestamp"][edit["key"]] = traj["per_timestamp"].pop("1")
+        if "timestamps" in edit:
+            doc["timestamps"] = edit["timestamps"]
+        if "object_id" in edit:
+            doc["objects"][0]["id"] = edit["object_id"]
+        if "query_id" in edit:
+            doc["query"]["id"] = edit["query_id"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["pcnn", "--dataset", str(bad), "--tau", "0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert re.search(message, json.loads(err)["error"])
 
     @pytest.mark.parametrize("command, config", [
         ("knn", {"k": "two"}),

@@ -15,7 +15,7 @@ from uncertain_spatial import (
     loads_database,
 )
 
-from uncertain_spatial.model import distance_matrix
+from uncertain_spatial.model import PROB_TOL, InstanceTable, distance_matrix
 
 from conftest import make_object, random_db
 
@@ -144,6 +144,40 @@ class TestInstanceTable:
         assert t.id_rank.tolist() == [1, 0, 2]
         assert t.certain.tolist() == [False, True, True]
         assert db.table is t  # built once
+
+    def test_of_matches_the_build_from_objects(self):
+        """``InstanceTable.of`` gives the arrays once built from the ``Instance`` objects."""
+
+        def from_objects(db):
+            objs = db.objects
+            sizes = [len(obj.instances) for obj in objs]
+            flat = [inst for obj in objs for inst in obj.instances]
+            id_rank = np.empty(len(objs), dtype=np.int64)
+            id_rank[sorted(range(len(objs)), key=lambda j: objs[j].id)] = np.arange(len(objs))
+            return InstanceTable(
+                positions=np.array([i.position for i in flat], dtype=float).reshape(-1, 2),
+                prob=np.array([i.prob for i in flat], dtype=float),
+                owner=np.repeat(np.arange(len(objs)), sizes),
+                first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+                id_rank=id_rank,
+                certain=np.array([not o.is_existentially_uncertain for o in objs], dtype=bool),
+            )
+
+        rng = np.random.default_rng(9)
+        edges = [  # certain within the tolerance, and just outside it
+            make_object("edge-in", [(0, 0, 0.5), (1, 1, 0.5 - PROB_TOL / 2)]),
+            make_object("edge-out", [(2, 2, 1.0 - 2 * PROB_TOL)]),
+        ]
+        dbs = [UncertainDatabase(())]
+        for _ in range(20):
+            objs = list(random_db(rng).objects) + edges
+            dbs.append(UncertainDatabase(tuple(objs[i] for i in rng.permutation(len(objs)))))
+        for db in dbs:
+            got, want = db.table, from_objects(db)
+            for name in ("positions", "prob", "owner", "first", "id_rank", "certain"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), name
 
     def test_empty_database(self):
         t = UncertainDatabase(()).table

@@ -2,7 +2,8 @@
 the Poisson-binomial kernels against the exact oracle, the kernels and the instance-table
 kNN and rank paths against loops that visit every trial and instance one at a time, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
-translation and quarter-turn rotation, and the maximal-set filter against the quadratic one."""
+translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
+exact trajectory backend against its scalar loop."""
 
 import math
 from collections import Counter
@@ -37,7 +38,13 @@ from uncertain_spatial.queries import (  # noqa: E402
     object_probabilities,
     rank_distribution,
 )
-from uncertain_spatial.trajectories import TimestampSet, maximal_timestamp_sets  # noqa: E402
+from uncertain_spatial.trajectories import (  # noqa: E402
+    ExactTrajectoryBackend,
+    TimestampSet,
+    TrajectoryDataset,
+    UncertainTrajectory,
+    maximal_timestamp_sets,
+)
 
 from conftest import make_object  # noqa: E402
 
@@ -353,3 +360,57 @@ def timestamp_families(draw):
 @example([])
 def test_maximal_sets_match_the_quadratic_filter(results):
     assert maximal_timestamp_sets(results) == _quadratic_maximal(results)
+
+
+def _scalar_win_probability(ds, object_id, t):
+    """The exact backend's per-timestamp win probability as one scalar loop per alternative."""
+    target = {o.id: o for o in ds.objects}[object_id]
+    competitors = [o for o in ds.objects if o.id != object_id]
+    terms = []
+    all_certain = True
+    for q_pos, q_p in ds.query.per_timestamp[t]:
+        for o_pos, o_p in target.per_timestamp[t]:
+            d = euclidean_distance(q_pos, o_pos)
+            win_given = 1.0
+            for c in competitors:
+                beaten = math.fsum(
+                    p
+                    for pos, p in c.per_timestamp[t]
+                    if euclidean_distance(q_pos, pos) < d
+                    or (euclidean_distance(q_pos, pos) == d and c.id < object_id)
+                )
+                win_given *= 1.0 - beaten
+            all_certain = all_certain and win_given == 1.0
+            terms.append(q_p * o_p * win_given)
+    return 1.0 if all_certain else min(1.0, math.fsum(terms))
+
+
+@st.composite
+def trajectory_datasets(draw):
+    """Up to four objects over up to three timestamps on a 5x5 grid, 1-3 alternatives each,
+    ids out of database order, so distance ties and id tie-breaks are common."""
+    n_t = draw(st.integers(1, 3))
+
+    def trajectory(tid):
+        per = {}
+        for t in range(n_t):
+            weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+            per[t] = tuple(
+                ((float(draw(GRID)), float(draw(GRID))), w / sum(weights)) for w in weights
+            )
+        return UncertainTrajectory(id=tid, per_timestamp=per)
+
+    ids = draw(st.permutations([f"o{i}" for i in range(draw(st.integers(1, 4)))]))
+    return TrajectoryDataset(
+        timestamps=tuple(range(n_t)), query=trajectory("q"), objects=tuple(map(trajectory, ids))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectory_datasets())
+def test_exact_trajectory_backend_matches_the_scalar_loop(ds):
+    """The table-based exact backend keeps the scalar loop's arithmetic, so wins are ``==``."""
+    backend = ExactTrajectoryBackend(ds)
+    for oid in ds.object_ids:
+        for t in ds.timestamps:
+            assert backend.pfann(oid, (t,)) == _scalar_win_probability(ds, oid, t)

@@ -58,6 +58,26 @@ def random_dataset(rng, max_timestamps=5, max_objects=3, max_alts=2):
     )
 
 
+def pin_winner(ds, oid, pinned):
+    """A copy where, at the pinned timestamps, the query sits at the origin, ``oid``
+    within distance 1.5 of it and every other object about 50 away, so ``oid`` surely
+    wins there."""
+
+    def moved(tr):
+        per = dict(tr.per_timestamp)
+        for t in pinned:
+            if tr is ds.query:
+                per[t] = (((0.0, 0.0), 1.0),)
+            else:
+                shift = 0.0 if tr.id == oid else 50.0
+                per[t] = tuple(((x / 10 + shift, y / 10), p) for (x, y), p in per[t])
+        return UncertainTrajectory(id=tr.id, per_timestamp=per)
+
+    return TrajectoryDataset(
+        timestamps=ds.timestamps, query=moved(ds.query), objects=tuple(map(moved, ds.objects))
+    )
+
+
 @pytest.fixture
 def demo_dataset():
     with open(FIXTURES / "pcnn_demo.json", "rb") as fh:
@@ -181,7 +201,7 @@ class TestSampledBackend:
         rng = np.random.default_rng(54)
         ds = random_dataset(rng, max_objects=3)
         sampled = SampledTrajectoryBackend(ds, 200, seed=9)
-        masks = list(sampled.sample.masks.values())
+        masks = list(sampled.masks.values())
         for bi in range(len(ds.timestamps)):
             bit = np.uint64(1 << bi)
             owners = sum(((m & bit) != 0).astype(int) for m in masks)
@@ -191,7 +211,7 @@ class TestSampledBackend:
         a = SampledTrajectoryBackend(demo_dataset, 1000, seed=5)
         b = SampledTrajectoryBackend(demo_dataset, 1000, seed=5)
         for oid in demo_dataset.object_ids:
-            assert np.array_equal(a.sample.masks[oid], b.sample.masks[oid])
+            assert np.array_equal(a.masks[oid], b.masks[oid])
 
 
 def grid_dataset(rng, n_t=4, n_obj=4, max_alts=3):
@@ -236,7 +256,7 @@ class TestSampledBitmap:
     @pytest.mark.parametrize("seed", range(6))
     def test_bitmap_matches_a_per_sample_loop(self, seed):
         ds = grid_dataset(np.random.default_rng(seed))
-        got = SampledTrajectoryBackend(ds, 300, seed=seed).sample.masks
+        got = SampledTrajectoryBackend(ds, 300, seed=seed).masks
         expected = reference_bitmap(ds, 300, seed)
         assert list(got) == list(expected)
         for oid in expected:
@@ -279,23 +299,29 @@ class TestLattice:
         assert all(ts.probability == 1.0 for ts in res)
 
     def test_matches_brute_force_on_random_instances(self):
-        rng = np.random.default_rng(55)
+        """Each random dataset also runs with some timestamps pinned to a certain win:
+        those are factored out and must come back on every result."""
+        rng, pin_rng = np.random.default_rng(55), np.random.default_rng(56)
         for _ in range(30):
             ds = random_dataset(rng)
-            be = ExactTrajectoryBackend(ds)
             tau = float(rng.uniform(0.05, 0.9))
             oid = str(rng.choice(ds.object_ids))
-            res = pc_tau_nn(ds, oid, ds.timestamps, tau, be)
-            found = {ts.timestamps: ts.probability for ts in res}
-            expected = {}
-            for size in range(1, len(ds.timestamps) + 1):
-                for sub in itertools.combinations(ds.timestamps, size):
-                    p = be.pfann(oid, sub)
-                    if p >= tau:
-                        expected[sub] = p
-            assert set(found) == set(expected)
-            for sub, p in expected.items():
-                assert found[sub] == pytest.approx(p, abs=1e-12)
+            pinned = [t for t in ds.timestamps if pin_rng.random() < 0.5] or [ds.timestamps[0]]
+            certain = pin_winner(ds, oid, pinned)
+            assert all(ExactTrajectoryBackend(certain).pfann(oid, (t,)) == 1.0 for t in pinned)
+            for data in (ds, certain):
+                be = ExactTrajectoryBackend(data)
+                res = pc_tau_nn(data, oid, data.timestamps, tau, be)
+                found = {ts.timestamps: ts.probability for ts in res}
+                expected = {}
+                for size in range(1, len(data.timestamps) + 1):
+                    for sub in itertools.combinations(data.timestamps, size):
+                        p = be.pfann(oid, sub)
+                        if p >= tau:
+                            expected[sub] = p
+                assert set(found) == set(expected)
+                for sub, p in expected.items():
+                    assert found[sub] == pytest.approx(p, abs=1e-12)
 
     def test_matches_brute_force_with_sampled_backend(self):
         """Pruning on shared-sample estimates loses nothing: containment makes
@@ -315,18 +341,6 @@ class TestLattice:
                 if be.pfann(oid, sub) >= tau
             }
             assert found == expected
-
-    def test_factoring_changes_nothing(self):
-        rng = np.random.default_rng(56)
-        for _ in range(10):
-            ds = random_dataset(rng)
-            be = ExactTrajectoryBackend(ds)
-            oid = ds.object_ids[0]
-            on = pc_tau_nn(ds, oid, ds.timestamps, 0.2, be, factor_certain=True)
-            off = pc_tau_nn(ds, oid, ds.timestamps, 0.2, be, factor_certain=False)
-            assert [(t.timestamps) for t in on] == [(t.timestamps) for t in off]
-            for a, b in zip(on, off):
-                assert a.probability == pytest.approx(b.probability, abs=1e-12)
 
     def test_tau_validation(self, demo_dataset):
         with pytest.raises(ValidationError):
