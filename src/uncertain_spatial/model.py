@@ -240,6 +240,21 @@ def resolve_query(db: UncertainDatabase, q: Union[QueryPoint, str]) -> Optional[
     return qobj
 
 
+_JSON_NUMBERS = (int, float)  # type, not isinstance: a bool is an int
+
+
+def json_xyp(record) -> "tuple[float, float, float]":
+    """A parsed JSON record's ``x``, ``y`` and ``p`` as floats; each must be a JSON number.
+
+    A bool or a string raises ``TypeError``, an integer beyond float range ``OverflowError``
+    and a missing field ``KeyError``.
+    """
+    x, y, p = record["x"], record["y"], record["p"]
+    if type(x) not in _JSON_NUMBERS or type(y) not in _JSON_NUMBERS or type(p) not in _JSON_NUMBERS:
+        raise TypeError(f"{record!r:.60} holds a value that is not a JSON number")
+    return float(x), float(y), float(p)
+
+
 def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
     """Build a validated database from parsed JSON object records."""
     built = []
@@ -256,8 +271,8 @@ def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
         instances = []
         for idx, inst in enumerate(raw_instances):
             try:
-                x, y, p = float(inst["x"]), float(inst["y"]), float(inst["p"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                x, y, p = json_xyp(inst)
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"object {oid!r}: malformed instance {idx}") from exc
             instances.append(Instance(object_id=oid, index=idx, position=(x, y), prob=p))
         built.append(UncertainObject(id=oid, instances=tuple(instances)))

@@ -129,28 +129,20 @@ def sample_worlds(db: UncertainDatabase, n: int, seed: int = 42) -> SampleSet:
     return SampleSet(db=db, seed=seed, n=n)
 
 
-def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
-    """Boolean membership per (sample, object), columns in sorted-id order.
+def _sampled_members(table: InstanceTable, q_row, q_positions, column, n: int, predicate):
+    """Boolean membership per (sample, row) of ``table``, columns in id order.
 
-    Only objects that are members in some world have their columns drawn;
-    the others stay all-False.  For kNN, ``bound`` is the k-th smallest
-    farthest distance of a certainly-existing object, so every world has k
-    objects within it: an object always farther than ``bound`` is never a
-    member and never ranks ahead of one, and ranks among the kept columns
-    equal ranks among all of them.
+    ``column(j)`` draws row j's branch (an instance index, or -1 when absent) in each of
+    the n samples; ``q_row`` is the query's own row (``None`` for a point) and
+    ``q_positions`` its instance positions.  Only rows that are members in some world are
+    drawn; the others stay all-False.  For kNN, ``bound`` is the k-th smallest farthest
+    distance of a certainly-existing row, so every world has k rows within it: a row always
+    farther than ``bound`` is never a member and never ranks ahead of one, and ranks among
+    the kept columns equal ranks among all of them.  Distance ties go to the lower id rank.
 
-    Returns (member matrix, sorted candidate ids).
+    Returns (member matrix, the rows of its columns).
     """
-    db = X.db
-    table = db.table
-    qobj = resolve_query(db, q)
-    if qobj is None:
-        q_col, q_positions = None, [q.position]
-    else:
-        q_col, q_positions = db.index(q), [inst.position for inst in qobj.instances]
-    n = len(X)
-    cols = [j for j in np.argsort(table.id_rank).tolist() if j != q_col]
-    ids = [db.objects[j].id for j in cols]
+    cols = [j for j in np.argsort(table.id_rank).tolist() if j != q_row]
     inst_dist = distance_matrix(q_positions, table.positions)  # per (query position, instance)
     near = np.minimum.reduceat(inst_dist.min(axis=0), table.first[:-1])
 
@@ -164,10 +156,10 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
         raise ValidationError(f"unsupported spatial predicate {predicate!r}")
     keep = [c for c, j in enumerate(cols) if near[j] <= bound]
 
-    q_idx = np.zeros(n, dtype=np.int64) if q_col is None else X.column(q_col)
+    q_idx = np.zeros(n, dtype=np.int64) if q_row is None else column(q_row)
     dist = np.empty((n, len(keep)))
     for out_j, c in enumerate(keep):
-        idx = X.column(cols[c])
+        idx = column(cols[c])
         dist[:, out_j] = np.where(idx < 0, np.inf, inst_dist[q_idx, table.first[cols[c]] + idx])
     if isinstance(predicate, RangePredicate):
         kept = dist <= predicate.epsilon
@@ -178,7 +170,19 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
         np.put_along_axis(kept, top, np.take_along_axis(np.isfinite(dist), top, axis=1), axis=1)
     member = np.zeros((n, len(cols)), dtype=bool)
     member[:, keep] = kept
-    return member, ids
+    return member, cols
+
+
+def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
+    """``X``'s (sample, object) membership, columns in sorted-id order, and their ids."""
+    db = X.db
+    qobj = resolve_query(db, q)
+    if qobj is None:
+        q_col, q_positions = None, [q.position]
+    else:
+        q_col, q_positions = db.index(q), [inst.position for inst in qobj.instances]
+    member, cols = _sampled_members(db.table, q_col, q_positions, X.column, len(X), predicate)
+    return member, [db.objects[j].id for j in cols]
 
 
 def _supports_from_membership(member: np.ndarray, ids: List[str]) -> List[PossibleResult]:

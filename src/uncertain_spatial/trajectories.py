@@ -19,7 +19,10 @@ backends read only those tables.  The exact backend enumerates the joint
 alternative combinations per timestamp (multiplied across timestamps, which is
 exact under the independence model); the sampled backend shares one fixed
 sample set across the whole lattice, so estimated probabilities are
-anti-monotone by construction.  ``answer_pcnn`` is the one entry point over both.
+anti-monotone by construction.  It draws and ranks each timestamp through the
+sampling module's 1-NN membership core, the one the spatial estimators use, so
+only objects that can be nearest are drawn.  ``answer_pcnn`` is the one entry
+point over both.
 
 In the JSON format, timestamps are distinct integers, written as canonical
 decimal ``per_timestamp`` keys, and ids are strings.
@@ -42,8 +45,10 @@ from .model import (
     InstanceTable,
     ValidationError,
     distance_matrix,
+    json_xyp,
 )
-from .sampling import _branches, _substreams, _uniforms
+from .predicates import KnnPredicate
+from .sampling import _branches, _sampled_members, _substreams, _uniforms
 
 #: Default cap on joint alternative combinations enumerated per timestamp.
 DEFAULT_JOINT_CAP = 2**22
@@ -171,10 +176,8 @@ def _parse_trajectory(record) -> UncertainTrajectory:
         if t is None or str(t) != key:
             raise ValidationError(f"trajectory {trajectory_id!r}: bad timestamp key {key!r}")
         try:
-            parsed[t] = tuple(
-                ((float(a["x"]), float(a["y"])), float(a["p"])) for a in alts
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            parsed[t] = tuple(((x, y), p) for x, y, p in map(json_xyp, alts))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(
                 f"trajectory {trajectory_id!r}: malformed alternative at timestamp {key}"
             ) from exc
@@ -268,7 +271,10 @@ class ExactTrajectoryBackend:
 class SampledTrajectoryBackend:
     """Monte-Carlo NN probabilities from one fixed shared sample set.
 
-    Every trajectory position at every timestamp is drawn once for n worlds.
+    At the b-th of T timestamps, row r of the instance table (the query is row 0)
+    draws its alternative in the n worlds with counter r * T + b.  Only rows that
+    can be nearest are drawn: a row always farther than some object's farthest
+    alternative never wins or ties, and skipping it moves no other row's counter.
     Bit b of ``masks[oid][i]`` is set when the object is the strict nearest
     neighbor of the query at the b-th timestamp in world i, so per world and
     timestamp exactly one object's bit is set.  Estimated probabilities are
@@ -294,17 +300,15 @@ class SampledTrajectoryBackend:
             return {}
         streams = _substreams(self.seed, self.n)
         masks = np.zeros((len(ds.objects), self.n), dtype=np.uint64)
-        for bi, t in enumerate(ds.timestamps):
+        for b, t in enumerate(ds.timestamps):
             table = ds.tables[t]
-            # row r draws with counter r * n_t + bi; the query is row 0
-            draw = [_branches(table, r, _uniforms(streams, r * n_t + bi))
-                    for r in range(len(table.first) - 1)]
-            dist = distance_matrix(table.positions[: table.first[1]], table.positions)
-            # objects in id order, so the first minimum realizes the tie rule
-            by_id = [r for r in np.argsort(table.id_rank).tolist() if r != 0]
-            picks = np.column_stack([table.first[r] + draw[r] for r in by_id])
-            winner = np.asarray(by_id)[np.argmin(dist[draw[0][:, None], picks], axis=1)]
-            masks[winner - 1, np.arange(self.n)] |= np.uint64(1 << bi)
+            # row r draws with counter r * n_t + b; the query is row 0; one nearest per sample
+            member, rows = _sampled_members(
+                table, 0, table.positions[: table.first[1]],
+                lambda r: _branches(table, r, _uniforms(streams, r * n_t + b)),
+                self.n, KnnPredicate(1))
+            sample, c = np.nonzero(member)
+            masks[np.asarray(rows)[c] - 1, sample] |= np.uint64(1 << b)
         return dict(zip(ds.object_ids, masks))
 
     def pfann(self, object_id: str, timestamps: Iterable[int]) -> float:
@@ -430,6 +434,8 @@ def pcnn_query(
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> Dict[str, List[TimestampSet]]:
     """Run the qualifying-subsets query for every object; empty outputs are omitted."""
+    if not 0.0 < tau <= 1.0:  # checked here too: a dataset without objects runs no search
+        raise ValidationError("tau must lie in (0, 1]")
     if backend is None:
         backend = ExactTrajectoryBackend(dataset)
     domain = tuple(sorted(set(timestamps)))

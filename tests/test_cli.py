@@ -435,10 +435,15 @@ class TestErrorHandling:
         ({"key": "010"}, "bad timestamp key '010'"),
         ({"object_id": 1}, "trajectory id 1 is not a string"),
         ({"query_id": 1, "object_id": "1"}, "trajectory id 1 is not a string"),
+        ({"alternative": ("x", True)}, "'q': malformed alternative at timestamp 0"),
+        ({"alternative": ("y", "2")}, "'q': malformed alternative at timestamp 0"),
+        ({"alternative": ("x", "1e1")}, "'q': malformed alternative at timestamp 0"),
     ], ids=["bool-and-float", "integral-float", "string", "duplicate", "underscore-key",
-            "padded-key", "zero-padded-key", "number-id", "number-query-id"])
+            "padded-key", "zero-padded-key", "number-id", "number-query-id",
+            "bool-coordinate", "string-coordinate", "string-exponent-coordinate"])
     def test_trajectory_loader_does_not_coerce(self, edit, message, tmp_path, capsys):
-        """Timestamps are distinct JSON integers, keys their canonical decimals, ids strings.
+        """Timestamps are distinct JSON integers, keys their canonical decimals, ids strings,
+        and coordinates JSON numbers.
 
         Each edit would otherwise read as a valid dataset, or fail on a misleading check.
         """
@@ -453,6 +458,9 @@ class TestErrorHandling:
             doc["objects"][0]["id"] = edit["object_id"]
         if "query_id" in edit:
             doc["query"]["id"] = edit["query_id"]
+        if "alternative" in edit:
+            field, value = edit["alternative"]
+            doc["query"]["per_timestamp"]["0"][0][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out, err = run_cli(["pcnn", "--dataset", str(bad), "--tau", "0.5"], capsys)
@@ -460,6 +468,40 @@ class TestErrorHandling:
         assert out == ""
         assert err.count("\n") == 1
         assert re.search(message, json.loads(err)["error"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", True), ("y", "2"), ("p", "1"), ("x", "1e1"), ("p", False),
+    ])
+    def test_database_loader_does_not_coerce(self, field, value, tmp_path, capsys):
+        """Coordinates and probabilities are JSON numbers: a bool or a numeric string is
+        refused, not read as the number it spells."""
+        instance = {"x": 1, "y": 0.0, "p": 1}
+        instance[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"objects": [{"id": "A", "instances": [instance]}]}))
+        code, out, err = run_cli(
+            ["knn", "--dataset", str(bad), "--query-x", "0", "--query-y", "0", "--k", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "'A': malformed instance 0" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("backend", ["exact", "sampled"])
+    @pytest.mark.parametrize("tau", ["5", "0", "-1"])
+    def test_pcnn_tau_checked_without_objects(self, backend, tau, tmp_path, capsys):
+        """tau is refused before an empty object list can leave nothing to search."""
+        doc = json.loads((FIXTURES / "pcnn_demo.json").read_text())
+        doc["objects"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["pcnn", "--dataset", str(bad), "--tau", tau, "--backend", backend], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "tau must lie in (0, 1]"}
 
     @pytest.mark.parametrize("command, config", [
         ("knn", {"k": "two"}),

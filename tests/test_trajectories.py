@@ -21,7 +21,8 @@ from uncertain_spatial import (
     pfann_probability,
 )
 
-from uncertain_spatial.sampling import _substreams, _uniforms
+from uncertain_spatial import trajectories
+from uncertain_spatial.sampling import _branches, _substreams, _uniforms
 
 from conftest import FIXTURES
 
@@ -230,6 +231,31 @@ def grid_dataset(rng, n_t=4, n_obj=4, max_alts=3):
     )
 
 
+def pruned_grid_dataset(rng, n_t=4, n_far=6, max_alts=3):
+    """A grid query with three objects at the kNN reach bound and others far beyond it.
+
+    ``m`` sits exactly 5 away, so the reach bound is 5.  ``a`` has one alternative exactly
+    at the bound (it ties ``m`` there and wins by id) and one far off; ``z`` ties at the
+    bound or lies closer.  Objects on a grid 50 away are never nearest, so they are not drawn.
+    """
+    spec = {tid: {} for tid in ["q", "m", "a", "z"] + [f"f{i}" for i in range(n_far)]}
+    for t in range(n_t):
+        qx, qy = rng.integers(0, 5, size=2).tolist()
+        spec["q"][t] = [(qx, qy, 1.0)]
+        spec["m"][t] = [(qx + 3, qy + 4, 1.0)]
+        spec["a"][t] = [(qx - 4, qy + 3, 0.5), (qx + 60, qy + 80, 0.5)]
+        spec["z"][t] = [(qx, qy - 5, 0.5), (qx + 1, qy + 1, 0.5)]
+        for i in range(n_far):
+            m = int(rng.integers(1, max_alts + 1))
+            spec[f"f{i}"][t] = [(*(50 + rng.integers(0, 5, size=2)).tolist(), 1.0 / m)
+                                for _ in range(m)]
+    ids = [tid for tid in spec if tid != "q"]
+    return TrajectoryDataset(
+        timestamps=tuple(range(n_t)), query=traj("q", spec["q"]),
+        objects=tuple(traj(ids[i], spec[ids[i]]) for i in rng.permutation(len(ids))),
+    )
+
+
 def reference_bitmap(ds, n, seed):
     """Winner bitmasks from a per-sample loop: row r draws timestamp b with counter r * T + b."""
     streams = _substreams(seed, n)
@@ -261,6 +287,24 @@ class TestSampledBitmap:
         assert list(got) == list(expected)
         for oid in expected:
             assert np.array_equal(got[oid], expected[oid]), oid
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_beyond_the_reach_bound_are_not_drawn(self, seed, monkeypatch):
+        ds = pruned_grid_dataset(np.random.default_rng(seed))
+        drawn = []
+
+        def counting_branches(table, j, u):
+            drawn.append(j)
+            return _branches(table, j, u)
+
+        monkeypatch.setattr(trajectories, "_branches", counting_branches)
+        got = SampledTrajectoryBackend(ds, 300, seed=seed).masks
+        expected = reference_bitmap(ds, 300, seed)
+        assert list(got) == list(expected)
+        for oid in expected:
+            assert np.array_equal(got[oid], expected[oid]), oid
+        assert np.any(got["a"])  # "a" wins its ties at the bound
+        assert len(drawn) < (len(ds.objects) + 1) * len(ds.timestamps)
 
 
 class TestLattice:
