@@ -4,7 +4,9 @@ Output is canonical JSON: compact separators, insertion-ordered keys, floats
 rendered with 12 significant digits.  Identical invocations (including seeds)
 produce byte-identical output.  Errors are emitted to stderr as single-line
 JSON ``{"error": "..."}``; the exit status is 0 on success, 1 on validation
-errors, and 2 when an exact computation exceeds its size cap.
+errors, and 2 when an exact computation exceeds its size cap.  Each distinct
+warning a call raises goes to stderr once, as one JSON line
+``{"warning": "..."}`` ahead of any error line.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -329,8 +332,8 @@ def _cmd_pcnn(args, dataset) -> dict:
     }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _answer(argv: List[str]) -> "tuple[int, Optional[str]]":
+    """Run one command; its exit status and, on failure, the error message."""
     try:
         args = _parse(argv)
         load = load_trajectory_dataset if args.command == "pcnn" else load_database
@@ -342,14 +345,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(text + "\n")
         else:
             sys.stdout.write(text + "\n")
-        return 0
+        return 0, None
     except CapExceededError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
+        return 2, str(exc)
     except (ValidationError, KeyError, OSError, ValueError, OverflowError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        sys.stderr.write(json.dumps({"error": str(message)}) + "\n")
-        return 1
+        return 1, str(message)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, error = _answer(argv)
+    # every call reports its own warnings, whatever ran before it in the process; the
+    # error line, if any, stays last
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write(json.dumps({"warning": message}) + "\n")
+    if error is not None:
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
+    return code
 
 
 def entrypoint() -> None:

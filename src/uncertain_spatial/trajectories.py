@@ -9,9 +9,8 @@ the query is never a competitor).
 
 Because that probability is anti-monotone in T_i, all qualifying subsets of a
 query interval are found level-wise, Apriori style: only supersets whose
-(k-1)-subsets all qualified are ever validated.  Timestamps whose singleton
-probability is exactly one are factored out up front and re-attached to every
-result, which cannot change any probability.
+(k-1)-subsets all qualified are ever validated.  Timestamps the object surely
+wins are searched like any other.
 
 Each timestamp is a set of x-tuples, as in a spatial database: a dataset keeps
 one instance table per timestamp (the query as row 0), and both probability
@@ -30,7 +29,6 @@ decimal ``per_timestamp`` keys, and ids are strings.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,7 +50,7 @@ from .sampling import _branches, _sampled_members, _substreams, _uniforms
 
 #: Default cap on joint alternative combinations enumerated per timestamp.
 DEFAULT_JOINT_CAP = 2**22
-#: Default cap on lattice candidates validated (plus emitted result sets).
+#: Default cap on lattice candidates validated.
 DEFAULT_LATTICE_CAP = 10**6
 
 
@@ -218,8 +216,8 @@ class ExactTrajectoryBackend:
     Win events at distinct timestamps involve disjoint independent draws, so
     the all-timestamps probability is the product of per-timestamp wins; the
     per-timestamp values are cached across the whole lattice run.  When every
-    enumerated combination wins, the probability is returned as exactly 1.0 so
-    the certain-timestamp factoring triggers reliably.
+    enumerated combination wins, the probability is returned as exactly 1.0, so
+    adding a surely won timestamp to a set leaves the product bit for bit as is.
     """
 
     def __init__(self, dataset: TrajectoryDataset, cap: int = DEFAULT_JOINT_CAP):
@@ -279,7 +277,8 @@ class SampledTrajectoryBackend:
     neighbor of the query at the b-th timestamp in world i, so per world and
     timestamp exactly one object's bit is set.  Estimated probabilities are
     exactly anti-monotone under subset containment because they count bitmask
-    coverage.
+    coverage; a surely won timestamp's bit is set in every sample, so adding it
+    changes no estimate.
     """
 
     def __init__(self, dataset: TrajectoryDataset, n: int, seed: int = 42):
@@ -343,11 +342,6 @@ def pfann_probability(
     return backend.pfann(object_id, _checked(dataset, object_id, timestamps, "timestamp set"))
 
 
-def _powerset(items: Sequence[int]):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
-
-
 def pc_tau_nn(
     dataset: TrajectoryDataset,
     object_id: str,
@@ -358,11 +352,12 @@ def pc_tau_nn(
 ) -> List[TimestampSet]:
     """All subsets of the query interval where the object's NN probability >= tau.
 
-    Level-wise search: qualifying singletons seed the lattice, and a k-subset
-    is validated only when all of its (k-1)-subsets qualified.  Timestamps
-    with singleton probability exactly one are factored out and re-attached to
-    every result (including on their own), which leaves probabilities
-    unchanged.  Results are sorted by size, then lexicographically.
+    Level-wise Apriori search: the singletons are validated first, and a set
+    ``base + (t,)``, with t a later qualifying singleton, is validated only when
+    every one-smaller subset qualified.  A timestamp the object surely wins
+    needs no special case: its factor of 1.0 leaves every probability as it
+    is.  At most ``lattice_cap`` sets are validated.  Results are sorted by
+    size, then lexicographically.
     """
     if not 0.0 < tau <= 1.0:
         raise ValidationError("tau must lie in (0, 1]")
@@ -370,60 +365,32 @@ def pc_tau_nn(
         backend = ExactTrajectoryBackend(dataset)
     domain = _checked(dataset, object_id, timestamps, "query interval")
 
-    budget = lattice_cap
-
-    def spend(count: int):
-        nonlocal budget
-        budget -= count
-        if budget < 0:
-            raise CapExceededError(
-                f"lattice exceeded {lattice_cap} candidates for object {object_id!r}"
-            )
-
-    singles = {}
-    for t in domain:
-        spend(1)
-        singles[t] = backend.pfann(object_id, (t,))
-    certain = tuple(t for t in domain if singles[t] == 1.0)
-    rest = tuple(t for t in domain if t not in certain)
-
     qualified: Dict[Tuple[int, ...], float] = {}
-    level = {(t,): singles[t] for t in rest if singles[t] >= tau}
-    qualified.update(level)
-    extend_with = sorted(t for (t,) in level)
-    k = 2
+    level = [(t,) for t in domain]
+    validated = 0
     while level:
-        prev = set(level)
-        candidates = []
-        for base in sorted(level):
-            for t in extend_with:
-                if t <= base[-1]:
-                    continue
-                cand = base + (t,)
-                if all(
-                    tuple(sub) in prev
-                    for sub in itertools.combinations(cand, k - 1)
-                ):
-                    candidates.append(cand)
-        level = {}
-        for cand in candidates:
-            spend(1)
+        found = {}
+        for cand in level:
+            validated += 1
+            if validated > lattice_cap:
+                raise CapExceededError(
+                    f"lattice exceeded {lattice_cap} candidates for object {object_id!r}"
+                )
             p = backend.pfann(object_id, cand)
             if p >= tau:
-                level[cand] = p
-        qualified.update(level)
-        k += 1
-
-    base_results = [((), 1.0)] + sorted(qualified.items())
-    spend(len(base_results) * (2 ** len(certain)))
-    out = []
-    for subset, p in base_results:
-        for extra in _powerset(certain):
-            combined = tuple(sorted(subset + extra))
-            if combined:
-                out.append(TimestampSet(timestamps=combined, probability=p))
-    out.sort(key=lambda ts: (len(ts.timestamps), ts.timestamps))
-    return out
+                found[cand] = p
+        qualified.update(found)
+        singles = [t for t in domain if (t,) in qualified]
+        # the one-smaller subsets of base + (t,) are base and, per member of base, the rest
+        # of base with t
+        level = [
+            base + (t,)
+            for base in found
+            for t in singles
+            if t > base[-1]
+            and all(base[:i] + base[i + 1:] + (t,) in found for i in range(len(base)))
+        ]
+    return [TimestampSet(timestamps=ts, probability=p) for ts, p in qualified.items()]
 
 
 def pcnn_query(

@@ -315,6 +315,21 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_warnings_do_not_depend_on_process_history(self, capsys):
+        """Every call writes its warnings the same way, one JSON line each, even
+        when an earlier call in the process raised the same warning."""
+        argv = [
+            "reps", "--dataset", str(FIXTURES / "consensus_demo.json"),
+            "--query-object", "Q", "--nn", "2", "--samples", "20", "--tau", "0.0",
+        ]
+        code1, _, err1 = run_cli(argv, capsys)
+        code2, _, err2 = run_cli(argv, capsys)
+        assert code1 == code2 == 0
+        assert err1 == err2
+        lines = [json.loads(line) for line in err1.splitlines()]
+        assert lines and all(list(line) == ["warning"] for line in lines)
+        assert "normal approximation unreliable" in lines[0]["warning"]
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):

@@ -141,6 +141,14 @@ def _other_cases():
         ["pcnn"] + pcnn_path + ["--tau", "0.3", "--backend", "sampled", "--samples", "3000",
                                 "--object", "o1", "--maximal"],
     ]
+    # o1 is the sure nearest neighbour at timestamps 0 and 2
+    certain = ["--dataset", "fixtures/pcnn_certain.json"]
+    for backend in (["--backend", "exact"], ["--backend", "sampled", "--samples", "3000"]):
+        pcnn += [
+            ["pcnn"] + certain + ["--tau", "0.3"] + backend,
+            ["pcnn"] + certain + ["--tau", "0.3", "--maximal"] + backend,
+            ["pcnn"] + certain + ["--tau", "1", "--object", "o1"] + backend,
+        ]
     worlds = ["--dataset", "fixtures/worlds_demo.json"]
     errors = [
         ["range"] + worlds + ["--query-object", "U2", "--epsilon", "1"] + _backend(b)

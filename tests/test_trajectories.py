@@ -344,7 +344,7 @@ class TestLattice:
 
     def test_matches_brute_force_on_random_instances(self):
         """Each random dataset also runs with some timestamps pinned to a certain win:
-        those are factored out and must come back on every result."""
+        those are searched like any other and must not cost any result."""
         rng, pin_rng = np.random.default_rng(55), np.random.default_rng(56)
         for _ in range(30):
             ds = random_dataset(rng)
@@ -369,22 +369,27 @@ class TestLattice:
 
     def test_matches_brute_force_with_sampled_backend(self):
         """Pruning on shared-sample estimates loses nothing: containment makes
-        the estimates exactly anti-monotone."""
-        rng = np.random.default_rng(58)
+        the estimates exactly anti-monotone.  Each dataset also runs with some
+        timestamps pinned to a certain win, whose bits are set in every sample."""
+        rng, pin_rng = np.random.default_rng(58), np.random.default_rng(59)
         for i in range(10):
             ds = random_dataset(rng)
-            be = SampledTrajectoryBackend(ds, 300, seed=70 + i)
             tau = float(rng.uniform(0.05, 0.9))
             oid = str(rng.choice(ds.object_ids))
-            res = pc_tau_nn(ds, oid, ds.timestamps, tau, be)
-            found = {ts.timestamps: ts.probability for ts in res}
-            expected = {
-                sub: be.pfann(oid, sub)
-                for size in range(1, len(ds.timestamps) + 1)
-                for sub in itertools.combinations(ds.timestamps, size)
-                if be.pfann(oid, sub) >= tau
-            }
-            assert found == expected
+            pinned = [t for t in ds.timestamps if pin_rng.random() < 0.5] or [ds.timestamps[0]]
+            for data in (ds, pin_winner(ds, oid, pinned)):
+                be = SampledTrajectoryBackend(data, 300, seed=70 + i)
+                if data is not ds:
+                    assert all(be.pfann(oid, (t,)) == 1.0 for t in pinned)
+                res = pc_tau_nn(data, oid, data.timestamps, tau, be)
+                found = {ts.timestamps: ts.probability for ts in res}
+                expected = {
+                    sub: be.pfann(oid, sub)
+                    for size in range(1, len(data.timestamps) + 1)
+                    for sub in itertools.combinations(data.timestamps, size)
+                    if be.pfann(oid, sub) >= tau
+                }
+                assert found == expected
 
     def test_tau_validation(self, demo_dataset):
         with pytest.raises(ValidationError):
@@ -403,6 +408,26 @@ class TestLattice:
         )
         with pytest.raises(CapExceededError, match="lattice"):
             pc_tau_nn(ds, "a", ds.timestamps, 0.05, lattice_cap=50)
+
+    def test_lattice_cap_counts_validated_sets_only(self, demo_dataset):
+        """The cap bounds the backend calls, one per validated set; reported
+        sets cost nothing more."""
+
+        class Counting(ExactTrajectoryBackend):
+            calls = 0
+
+            def pfann(self, object_id, timestamps):
+                self.calls += 1
+                return super().pfann(object_id, timestamps)
+
+        counting = Counting(demo_dataset)
+        res = pc_tau_nn(demo_dataset, "o1", demo_dataset.timestamps, 0.5, counting)
+        calls = counting.calls
+        assert calls > len(demo_dataset.timestamps) and res
+        again = pc_tau_nn(demo_dataset, "o1", demo_dataset.timestamps, 0.5, lattice_cap=calls)
+        assert again == res
+        with pytest.raises(CapExceededError, match="lattice exceeded"):
+            pc_tau_nn(demo_dataset, "o1", demo_dataset.timestamps, 0.5, lattice_cap=calls - 1)
 
 
 class TestPcnnQuery:
