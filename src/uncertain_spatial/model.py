@@ -6,9 +6,12 @@ remainder is the probability that the object does not exist at all
 (existential uncertainty).  Distinct objects are stochastically independent.
 Databases are immutable after construction and safe to share across threads.
 
-A database's instance table (``UncertainDatabase.table``, built on first use) is
-the one flat-array form of its instances, read by the kNN, rank and sampling paths;
-a trajectory dataset keeps one such table per timestamp.
+A database is stored as its instance table (``UncertainDatabase.table``): the one
+flat-array form of its instances, which the loader fills straight from the parsed
+records and every query path reads.  ``Instance`` and ``UncertainObject`` values are
+views built from the table on demand, one object at a time, for the callers that want
+them (the possible-worlds oracle, ``expected_distance``, a query object, the tests).
+A trajectory dataset keeps one such table per timestamp.
 Every distance is the float ``euclidean_distance`` gives for the pair, also when
 ``distance_matrix`` computes many at once, so distance ties fall alike on every path.
 """
@@ -17,9 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import IO, Dict, Iterable, Optional, Sequence, Union
+from itertools import chain
+from typing import IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -138,7 +143,7 @@ class UncertainObject:
         return math.fsum(inst.prob for inst in self.instances) < 1.0 - PROB_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceTable:
     """Every instance of a database as flat arrays, in database and file order.
 
@@ -159,73 +164,167 @@ class InstanceTable:
     def of(cls, ids: Sequence[str], blocks: Sequence[Sequence[tuple]]) -> "InstanceTable":
         """The table of objects ``ids``, object j's instances being the ``(position, prob)``
         pairs of ``blocks[j]`` in order."""
-        sizes = [len(block) for block in blocks]
         flat = [alt for block in blocks for alt in block]
+        return cls.from_arrays(
+            ids,
+            np.array([pos for pos, _ in flat], dtype=float).reshape(-1, 2),
+            np.array([p for _, p in flat], dtype=float),
+            [len(block) for block in blocks],
+        )
+
+    @classmethod
+    def from_arrays(cls, ids: Sequence[str], positions, prob, sizes) -> "InstanceTable":
+        """The table of objects ``ids`` whose instances, ``sizes[j]`` for object j, are the
+        rows of ``positions`` and ``prob`` in order."""
+        sizes = np.asarray(sizes, dtype=np.int64)
         id_rank = np.empty(len(ids), dtype=np.int64)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        owner = np.repeat(np.arange(len(ids)), sizes)
+        first = np.concatenate(([0], np.cumsum(sizes)))
         return cls(
-            positions=np.array([pos for pos, _ in flat], dtype=float).reshape(-1, 2),
-            prob=np.array([p for _, p in flat], dtype=float),
-            owner=np.repeat(np.arange(len(ids)), sizes),
-            first=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            positions=positions,
+            prob=prob,
+            owner=owner,
+            first=first,
             id_rank=id_rank,
-            certain=np.array(
-                [math.fsum(p for _, p in block) >= 1.0 - PROB_TOL for block in blocks], dtype=bool
+            certain=_object_sums(prob, owner, first) >= 1.0 - PROB_TOL,
+        )
+
+    def without(self, j: int) -> "InstanceTable":
+        """The table with object j's rows taken out; the objects after it move up one place."""
+        lo, hi = self.first[j], self.first[j + 1]
+        owner = np.delete(self.owner, np.s_[lo:hi])
+        id_rank = np.delete(self.id_rank, j)
+        return InstanceTable(
+            positions=np.delete(self.positions, np.s_[lo:hi], axis=0),
+            prob=np.delete(self.prob, np.s_[lo:hi]),
+            owner=owner - (owner > j),
+            first=np.concatenate((self.first[: j + 1], self.first[j + 2 :] - (hi - lo))),
+            id_rank=id_rank - (id_rank > self.id_rank[j]),
+            certain=np.delete(self.certain, j),
+        )
+
+    def object(self, j: int, object_id: str) -> UncertainObject:
+        """Object j, named ``object_id``, built from its rows; the constructors check every
+        value."""
+        lo, hi = self.first[j], self.first[j + 1]
+        rows = zip(self.positions[lo:hi].tolist(), self.prob[lo:hi].tolist())
+        return UncertainObject(
+            id=object_id,
+            instances=tuple(
+                Instance(object_id=object_id, index=i, position=(x, y), prob=p)
+                for i, ((x, y), p) in enumerate(rows)
             ),
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InstanceTable):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
 
-@dataclass(frozen=True)
+
+def _object_sums(prob: np.ndarray, owner: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Each object's probability sum, exact on the side of 1 ± ``PROB_TOL`` it falls.
+
+    ``np.bincount`` adds in order; for m positive terms that float lies within
+    m·eps·sum of the exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, §4.2).  Where that bound reaches 1 - PROB_TOL or 1 + PROB_TOL,
+    ``math.fsum`` gives the sum instead, so comparisons with either edge decide
+    as ``math.fsum`` would.
+    """
+    sizes = np.diff(first)
+    sums = np.bincount(owner, weights=prob, minlength=len(sizes))
+    slack = sizes * np.finfo(float).eps * np.maximum(sums, 1.0)
+    near = (np.abs(sums - (1.0 - PROB_TOL)) <= slack) | (np.abs(sums - (1.0 + PROB_TOL)) <= slack)
+    near &= np.isfinite(sums)  # an overflowed sum is far from both edges, and fsum would raise
+    for j in np.flatnonzero(near).tolist():
+        sums[j] = math.fsum(prob[first[j] : first[j + 1]].tolist())
+    return sums
+
+
 class UncertainDatabase:
-    """An ordered collection of independent uncertain objects.
+    """An ordered collection of independent uncertain objects, stored as its instance table.
 
     Inter-object independence is assumed throughout: the probability of a
     possible world is the product of the per-object choice probabilities.
+
+    ``UncertainDatabase(objects)`` builds the table from objects; the loader builds a
+    database from a table with ``from_table``.  ``db[oid]``, iteration and ``objects``
+    build ``UncertainObject`` values from the table on first use, one object at a time,
+    and keep them; a database made by ``without`` shares them with its parent.
+    Databases are immutable and compare equal when their ids and tables are equal.
     """
 
-    objects: "tuple[UncertainObject, ...]"
-    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
+    def __init__(self, objects: Iterable[UncertainObject] = ()):
+        objects = tuple(objects)
+        ids = tuple(obj.id for obj in objects)
+        blocks = [[(inst.position, inst.prob) for inst in obj.instances] for obj in objects]
+        self._attach(ids, InstanceTable.of(ids, blocks), dict(zip(ids, objects)))
 
-    def __post_init__(self):
-        positions = {}
-        for i, obj in enumerate(self.objects):
-            if obj.id in positions:
-                raise ValidationError(f"duplicate object id {obj.id!r}")
-            positions[obj.id] = i
-        object.__setattr__(self, "_positions", positions)
+    @classmethod
+    def from_table(cls, ids: "tuple[str, ...]", table: InstanceTable) -> "UncertainDatabase":
+        """The database of objects ``ids`` whose instances are the table's rows."""
+        db = cls.__new__(cls)
+        db._attach(ids, table, {})
+        return db
+
+    def _attach(self, ids: "tuple[str, ...]", table: InstanceTable, built: dict) -> None:
+        positions = dict(zip(ids, range(len(ids))))
+        if len(positions) < len(ids):
+            seen = set()
+            for oid in ids:
+                if oid in seen:
+                    raise ValidationError(f"duplicate object id {oid!r}")
+                seen.add(oid)
+        self.object_ids = ids
+        self.table = table
+        self._positions = positions
+        self._built = built
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.object_ids)
 
     def __iter__(self):
         return iter(self.objects)
 
     def __getitem__(self, object_id: str) -> UncertainObject:
-        return self.objects[self._positions[object_id]]
+        j = self._positions[object_id]
+        obj = self._built.get(object_id)
+        if obj is None:
+            obj = self._built.setdefault(object_id, self.table.object(j, object_id))
+        return obj
 
     def __contains__(self, object_id: str) -> bool:
         return object_id in self._positions
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UncertainDatabase):
+            return NotImplemented
+        return self.object_ids == other.object_ids and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash(self.object_ids)
+
+    def __repr__(self) -> str:
+        return f"UncertainDatabase({len(self)} objects, {len(self.table.prob)} instances)"
 
     def index(self, object_id: str) -> int:
         """Position of the object in database order; ``KeyError`` when absent."""
         return self._positions[object_id]
 
-    @property
-    def object_ids(self) -> "tuple[str, ...]":
-        return tuple(obj.id for obj in self.objects)
-
     @cached_property
-    def table(self) -> InstanceTable:
-        """The database's instance table, built on first use."""
-        return InstanceTable.of(
-            self.object_ids,
-            [[(inst.position, inst.prob) for inst in obj.instances] for obj in self.objects],
-        )
+    def objects(self) -> "tuple[UncertainObject, ...]":
+        """Every object in database order, built on first use."""
+        return tuple(map(self.__getitem__, self.object_ids))
 
     def without(self, object_id: str) -> "UncertainDatabase":
         """A copy of the database with one object removed (order preserved)."""
-        i = self._positions[object_id]
-        return UncertainDatabase(self.objects[:i] + self.objects[i + 1 :])
+        j = self._positions[object_id]
+        rest = UncertainDatabase.__new__(UncertainDatabase)
+        ids = self.object_ids[:j] + self.object_ids[j + 1 :]
+        rest._attach(ids, self.table.without(j), self._built)
+        return rest
 
 
 def resolve_query(db: UncertainDatabase, q: Union[QueryPoint, str]) -> Optional[UncertainObject]:
@@ -255,28 +354,97 @@ def json_xyp(record) -> "tuple[float, float, float]":
     return float(x), float(y), float(p)
 
 
-def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
-    """Build a validated database from parsed JSON object records."""
-    built = []
-    for rec in objects:
+_NUMBER_TYPES = frozenset(_JSON_NUMBERS)
+_XYP = operator.itemgetter("x", "y", "p")
+
+
+def _object_from_record(rec) -> UncertainObject:
+    """One parsed object record as a validated object, instance by instance.
+
+    The loader runs it on the first record that fails its checks, to raise the error
+    the record gives when the records are read one at a time in file order.
+    """
+    try:
+        oid = rec["id"]
+        raw_instances = rec["instances"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"object record missing field: {exc}") from exc
+    if not isinstance(oid, str):
+        raise ValidationError(f"object id {oid!r} is not a string")
+    if not isinstance(raw_instances, list):
+        raise ValidationError(f"object {oid!r}: instances must be an array")
+    instances = []
+    for idx, inst in enumerate(raw_instances):
         try:
-            oid = rec["id"]
-            raw_instances = rec["instances"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"object record missing field: {exc}") from exc
-        if not isinstance(oid, str):
-            raise ValidationError(f"object id {oid!r} is not a string")
-        if not isinstance(raw_instances, list):
-            raise ValidationError(f"object {oid!r}: instances must be an array")
-        instances = []
-        for idx, inst in enumerate(raw_instances):
-            try:
-                x, y, p = json_xyp(inst)
-            except (KeyError, TypeError, OverflowError) as exc:
-                raise ValidationError(f"object {oid!r}: malformed instance {idx}") from exc
-            instances.append(Instance(object_id=oid, index=idx, position=(x, y), prob=p))
-        built.append(UncertainObject(id=oid, instances=tuple(instances)))
-    return UncertainDatabase(tuple(built))
+            x, y, p = json_xyp(inst)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValidationError(f"object {oid!r}: malformed instance {idx}") from exc
+        instances.append(Instance(object_id=oid, index=idx, position=(x, y), prob=p))
+    return UncertainObject(id=oid, instances=tuple(instances))
+
+
+def _first_malformed(instances: list) -> int:
+    """Index of the first instance record that ``json_xyp`` rejects."""
+    for i, inst in enumerate(instances):
+        try:
+            json_xyp(inst)
+        except (KeyError, TypeError, OverflowError):
+            return i
+
+
+def _check_values(ids: Sequence[str], table: InstanceTable) -> None:
+    """Raise the error of the first object, in database order, holding an invalid value.
+
+    Vector screens flag non-finite coordinates, probabilities outside (0, 1 + PROB_TOL],
+    empty objects and sums above 1 + PROB_TOL; the flagged object is then built by the
+    constructors, which raise their own message.
+    """
+    bad = ~np.isfinite(table.positions).all(axis=1) | ~(table.prob > 0.0)
+    bad |= table.prob > 1.0 + PROB_TOL
+    flagged = (np.diff(table.first) == 0) | (
+        _object_sums(table.prob, table.owner, table.first) > 1.0 + PROB_TOL
+    )
+    flagged[table.owner[bad]] = True
+    for j in np.flatnonzero(flagged).tolist():
+        table.object(j, ids[j])
+
+
+def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
+    """Build a validated database from parsed JSON object records, straight into its table.
+
+    One pass over the records collects ids, instance counts and the raw ``x``, ``y``,
+    ``p`` values, checking fields; vector checks then check types and values.  Errors
+    come as reading the records one at a time in file order would give them: the first
+    failing record raises its own message, and duplicate ids are checked last.
+    """
+    records = list(objects)
+    ids, sizes, instances = [], [], []
+    for rec in records:
+        try:
+            oid, raw = rec["id"], rec["instances"]
+        except (KeyError, TypeError):
+            break
+        if not isinstance(oid, str) or not isinstance(raw, list):
+            break
+        ids.append(oid)
+        sizes.append(len(raw))
+        instances += raw
+    try:
+        values = list(chain.from_iterable(map(_XYP, instances)))
+        if not _NUMBER_TYPES.issuperset(map(type, values)):
+            raise TypeError("a value is not a JSON number")
+        xyp = np.array(values, dtype=float).reshape(-1, 3)
+    except (KeyError, TypeError, OverflowError):
+        bad = _first_malformed(instances)
+        del ids[int(np.searchsorted(np.cumsum(sizes), bad, side="right")) :]
+        del sizes[len(ids) :]
+        xyp = np.array([json_xyp(inst) for inst in instances[: sum(sizes)]], dtype=float)
+        xyp = xyp.reshape(-1, 3)
+    table = InstanceTable.from_arrays(ids, xyp[:, :2].copy(), xyp[:, 2].copy(), sizes)
+    _check_values(ids, table)
+    if len(ids) < len(records):
+        _object_from_record(records[len(ids)])  # raises: the record failed a check above
+    return UncertainDatabase.from_table(tuple(ids), table)
 
 
 def loads_database(text: Union[str, bytes]) -> UncertainDatabase:

@@ -108,11 +108,18 @@ class ProbabilisticPredicate:
             raise ValidationError(f"unknown probabilistic predicate kind {self.kind!r}")
 
     def select(self, probabilities: Dict[str, float]) -> ResultSet:
-        rounded = {oid: round(p, COMPARISON_DIGITS) for oid, p in probabilities.items()}
+        # rounding keeps p <= 0 at or below 0, which neither threshold test keeps, so the
+        # threshold tests round only p > 0
+        items = probabilities.items()
         if self.kind == "possibilistic" or (self.kind == "threshold" and self.tau == 0.0):
-            return ResultSet.of(oid for oid, p in rounded.items() if p > 0.0)
+            return ResultSet.of(
+                oid for oid, p in items if p > 0.0 and round(p, COMPARISON_DIGITS) > 0.0
+            )
         if self.kind == "threshold":
-            return ResultSet.of(oid for oid, p in rounded.items() if p >= self.tau)
+            return ResultSet.of(
+                oid for oid, p in items if p > 0.0 and round(p, COMPARISON_DIGITS) >= self.tau
+            )
+        rounded = {oid: round(p, COMPARISON_DIGITS) for oid, p in items}
         ranked = sorted(rounded, key=lambda oid: (-rounded[oid], oid))
         if len(ranked) <= self.k:
             return ResultSet.of(ranked)
@@ -131,6 +138,27 @@ def in_range_probability(obj: UncertainObject, rq: RangeQuery) -> float:
     return min(1.0, total)
 
 
+def _in_range_probabilities(table: InstanceTable, rq: RangeQuery) -> List[float]:
+    """``in_range_probability`` of every object of the table, in database order.
+
+    One distance row and an in-range mask give the answer: an object with no instance
+    in range gets 0.0, one with a single instance in range its probability, and only
+    objects with two or more are summed by ``math.fsum``.
+    """
+    inside = distance_matrix([rq.center.position], table.positions)[0] <= rq.epsilon
+    owner, prob = table.owner[inside], table.prob[inside]
+    hits = np.bincount(owner, minlength=len(table.first) - 1)
+    total = np.zeros(len(hits))
+    single = hits[owner] == 1
+    total[owner[single]] = prob[single]
+    multi = np.flatnonzero(hits > 1)
+    if multi.size:  # an object's instances are adjacent in the table, so in ``prob`` too
+        starts, in_range = np.searchsorted(owner, multi).tolist(), prob.tolist()
+        for j, start, count in zip(multi.tolist(), starts, hits[multi].tolist()):
+            total[j] = math.fsum(in_range[start : start + count])
+    return np.minimum(1.0, total).tolist()
+
+
 def range_count_distribution(
     db: UncertainDatabase,
     rq: RangeQuery,
@@ -142,7 +170,7 @@ def range_count_distribution(
     equal to its in-range probability; the trials are independent, so the
     count is Poisson-binomial.
     """
-    return kernel([in_range_probability(obj, rq) for obj in db.objects])
+    return kernel(_in_range_probabilities(db.table, rq))
 
 
 def expected_distance(obj: UncertainObject, q: QueryPoint) -> float:
@@ -265,8 +293,7 @@ def _position_probabilities(
 ) -> List[float]:
     """Each object's probability of satisfying the predicate at a fixed point, in database order."""
     if isinstance(predicate, RangePredicate):
-        rq = RangeQuery(point, predicate.epsilon)
-        return [in_range_probability(obj, rq) for obj in db.objects]
+        return _in_range_probabilities(db.table, RangeQuery(point, predicate.epsilon))
     if isinstance(predicate, KnnPredicate):
         dist = distance_matrix([point.position], db.table.positions)[0]
         masses = (_closer_masses(db.table, dist, j) for j in range(len(db)))
@@ -281,11 +308,10 @@ def object_probabilities(
     kernel: Kernel = poisson_binomial_recurrence,
 ) -> Dict[str, float]:
     """Per-object probability of satisfying the spatial predicate, for all objects."""
-    acc: Dict[str, float] = {}
+    acc = 0.0
     for w, point, rest in _mix_over_query(db, q):
-        for obj, p in zip(rest.objects, _position_probabilities(rest, point, predicate, kernel)):
-            acc[obj.id] = acc.get(obj.id, 0.0) + w * p
-    return acc
+        acc = acc + w * np.array(_position_probabilities(rest, point, predicate, kernel))
+    return dict(zip(rest.object_ids, acc.tolist()))
 
 
 def threshold_query(
@@ -351,14 +377,12 @@ def answer_range(
     if backend == "sampled":
         return estimate_range(sample_worlds(db, samples, seed), q, epsilon)
     kernel = _kernel(backend)
-    probs: Dict[str, float] = {}
-    mass = 0.0
+    acc = mass = 0.0
     for w, point, rest in _mix_over_query(db, q):
         trials = _position_probabilities(rest, point, predicate, kernel)
-        for obj, p in zip(rest.objects, trials):
-            probs[obj.id] = probs.get(obj.id, 0.0) + w * p
+        acc = acc + w * np.array(trials)
         mass = mass + w * kernel(trials).mass
-    return probs, CountDistribution(mass)
+    return dict(zip(rest.object_ids, acc.tolist())), CountDistribution(mass)
 
 
 def sampled_results(

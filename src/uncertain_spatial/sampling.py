@@ -164,8 +164,12 @@ def _sampled_members(table: InstanceTable, q_row, q_positions, column, n: int, p
     if isinstance(predicate, RangePredicate):
         kept = dist <= predicate.epsilon
     else:
-        # a stable argsort of id-ordered columns is the tie rule: its first k present are members
-        top = np.argsort(dist, axis=1, kind="stable")[:, : predicate.k]
+        # a stable argsort of id-ordered columns is the tie rule: its first k present are
+        # members; for k = 1, argmin picks the same first minimum
+        if predicate.k == 1 and dist.shape[1]:
+            top = np.argmin(dist, axis=1)[:, None]
+        else:
+            top = np.argsort(dist, axis=1, kind="stable")[:, : predicate.k]
         kept = np.zeros(dist.shape, dtype=bool)
         np.put_along_axis(kept, top, np.take_along_axis(np.isfinite(dist), top, axis=1), axis=1)
     member = np.zeros((n, len(cols)), dtype=bool)
@@ -182,7 +186,7 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
     else:
         q_col, q_positions = db.index(q), [inst.position for inst in qobj.instances]
     member, cols = _sampled_members(db.table, q_col, q_positions, X.column, len(X), predicate)
-    return member, [db.objects[j].id for j in cols]
+    return member, [db.object_ids[j] for j in cols]
 
 
 def _supports_from_membership(member: np.ndarray, ids: List[str]) -> List[PossibleResult]:

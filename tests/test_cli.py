@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uncertain_spatial import cli
@@ -38,6 +39,32 @@ class TestCanonicalJson:
 
     def test_twelve_significant_digits(self):
         assert dumps_canonical(0.1234567890123456) == "0.123456789012"
+
+    def test_flat_lists_and_dicts_match_item_by_item(self):
+        """The one-pass path for flat floats writes what the item-by-item path writes."""
+
+        def item_by_item(value):
+            if isinstance(value, dict):
+                items = (f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in value.items())
+                return "{" + ",".join(items) + "}"
+            return "[" + ",".join(dumps_canonical(v) for v in value) + "]"
+
+        rng = np.random.default_rng(5)
+        edge = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-5, 1e16, 123456789012.5, 1 / 3, 2.0**-1074]
+        for _ in range(30):
+            spread = rng.standard_normal(20) * 10.0 ** rng.integers(-8, 8, 20)
+            floats = list(rng.choice(edge, 20)) + list(spread)
+            keys = ["o1", "é", 'q"uote', "tab\t", "\u2028", ""] + [f"k{i}" for i in range(34)]
+            for value in (floats, [float(x) for x in floats], tuple(floats), np.array(floats),
+                          dict(zip(keys, floats))):
+                assert dumps_canonical(value) == item_by_item(value)
+        assert dumps_canonical([]) == "[]" and dumps_canonical({}) == "{}"
+        mixed = [1.5, 2, True, None, "x", [0.5]]
+        assert dumps_canonical(mixed) == item_by_item(mixed) == '[1.5,2,true,null,"x",[0.5]]'
+        assert dumps_canonical({1: 0.5, "a": 0.25}) == '{"1":0.5,"a":0.25}'
+        for bad in ([0.5, math.inf], {"a": 0.5, "b": math.nan}):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_canonical(bad)
 
 
 class TestRangeCommand:

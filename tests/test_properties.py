@@ -1,6 +1,7 @@
 """Property tests: the sampled estimators against brute force over the same sampled worlds,
-the Poisson-binomial kernels against the exact oracle, the kernels and the instance-table
-kNN and rank paths against loops that visit every trial and instance one at a time, the
+the Poisson-binomial kernels against the exact oracle, range from the instance table against
+the object-by-object path, the kernels and the instance-table kNN and rank paths against
+loops that visit every trial and instance one at a time, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
 exact trajectory backend against its scalar loop."""
@@ -29,7 +30,7 @@ from uncertain_spatial.bernoulli import (  # noqa: E402
     generating_function,
     poisson_binomial_recurrence,
 )
-from uncertain_spatial.model import distance_matrix, euclidean_distance  # noqa: E402
+from uncertain_spatial.model import PROB_TOL, distance_matrix, euclidean_distance  # noqa: E402
 from uncertain_spatial.queries import (  # noqa: E402
     KERNELS,
     answer_objects,
@@ -123,6 +124,64 @@ def test_kernels_match_the_oracle(case):
             _assert_close(probs, exact)
             assert len(counts) == len(exact_counts) == len(exact) + 1
             assert max(abs(counts.mass - exact_counts.mass)) <= 1e-12
+
+
+def _reference_range(db, q, epsilon, kernel):
+    """Range object by object: ``in_range_probability``'s fsum per object, the query
+    object's instances mixed in turn over the other objects."""
+    if isinstance(q, str):
+        rest = UncertainDatabase(tuple(o for o in db.objects if o.id != q))
+        positions = [(inst.prob, inst.position, rest) for inst in db[q].instances]
+    else:
+        positions = [(1.0, q.position, db)]
+    probs, mass = {}, 0.0
+    for w, center, rest in positions:
+        trials = [
+            min(1.0, math.fsum(
+                inst.prob for inst in obj.instances
+                if euclidean_distance(center, inst.position) <= epsilon
+            ))
+            for obj in rest.objects
+        ]
+        for obj, p in zip(rest.objects, trials):
+            probs[obj.id] = probs.get(obj.id, 0.0) + w * p
+        mass = mass + w * kernel(trials).mass
+    return probs, CountDistribution(mass)
+
+
+@st.composite
+def range_cases(draw):
+    """(db, query, epsilon) on the grid: up to five instances per object, many exactly at
+    distance epsilon, some objects existentially uncertain, a grid point or a certain object."""
+    objects = []
+    for i in range(draw(st.integers(1, 7))):
+        weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+        total = sum(weights) + draw(st.sampled_from((0, 0, 1, 3)))
+        objects.append(make_object(f"O{i}", [(draw(GRID), draw(GRID), w / total) for w in weights]))
+    db = UncertainDatabase(tuple(objects))
+    certain = [o.id for o in db.objects if not o.is_existentially_uncertain]
+    if certain and draw(st.booleans()):
+        q = draw(st.sampled_from(certain))
+    else:
+        q = QueryPoint(float(draw(GRID)), float(draw(GRID)))
+    epsilon = draw(st.sampled_from((0.0, 1.0, math.sqrt(2), 2.0, math.sqrt(5), 3.0, 2.5, 10.0)))
+    return db, q, epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_cases())
+def test_range_from_the_table_matches_the_object_by_object_path(case):
+    """``answer_range`` reads one distance row of the table; it gives the object-by-object
+    floats exactly, for both kernels, and the oracle's within the tolerance."""
+    db, q, epsilon = case
+    exact_probs, exact_counts = answer_range(db, q, epsilon, "exact")
+    for backend, kernel in KERNELS.items():
+        probs, counts = answer_range(db, q, epsilon, backend)
+        want_probs, want_counts = _reference_range(db, q, epsilon, kernel)
+        assert list(probs) == list(want_probs) and probs == want_probs
+        assert counts.mass.tolist() == want_counts.mass.tolist()
+        assert all(abs(probs[oid] - p) <= PROB_TOL for oid, p in exact_probs.items())
+        assert max(abs(counts.mass - exact_counts.mass)) <= PROB_TOL
 
 
 def _recurrence_over_every_trial(probs):

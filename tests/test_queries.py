@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uncertain_spatial import (
+    Instance,
     KnnPredicate,
     ProbabilisticPredicate,
     QueryPoint,
@@ -386,11 +387,16 @@ class TestDegenerateDatabases:
         assert probs == {} and counts.mass.tolist() == [1.0]
 
     @pytest.mark.parametrize("backend", ["pbr", "gf"])
-    def test_range_never_builds_the_instance_table(self, backend):
-        """Range answers object by object; only kNN, rank and sampling need the table."""
+    def test_load_and_range_build_no_instance(self, backend, monkeypatch):
+        """The loader fills the instance table and range reads it; no ``Instance`` is made."""
+        built = []
+        check = Instance.__post_init__
+        monkeypatch.setattr(Instance, "__post_init__", lambda i: built.append(i) or check(i))
         db = fixture_db("clustered_demo.json")
-        answer_range(db, QueryPoint(600.0, 450.0), 50.0, backend)
-        assert "table" not in vars(db)
+        probs, _ = answer_range(db, QueryPoint(600.0, 450.0), 50.0, backend)
+        assert built == [] and len(probs) == len(db)
+        db["o00001"]  # a lookup builds that one object only
+        assert [inst.object_id for inst in built] == ["o00001"] * len(db["o00001"].instances)
 
     def test_one_instance_objects(self):
         db = UncertainDatabase(tuple(make_object(f"O{i}", [(i, 0, 1.0)]) for i in range(4)))

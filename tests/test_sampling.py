@@ -19,6 +19,8 @@ from uncertain_spatial import (
     result_based,
     sample_worlds,
 )
+from uncertain_spatial.model import distance_matrix
+from uncertain_spatial.sampling import _sampled_members
 from uncertain_spatial.worlds import ResultSet
 
 from conftest import make_object, random_db
@@ -197,3 +199,38 @@ class TestJaccardDistance:
             assert jaccard_distance(a, b) == pytest.approx(float(dab), abs=1e-15)
             assert jaccard_distance(a, b) == jaccard_distance(b, a)
             assert jaccard_distance(a, a) == 0.0
+
+
+class TestNearestMember:
+    def test_argmin_matches_the_stable_argsort(self):
+        """For k = 1 the first minimum of each row is the member the stable argsort ranks
+        first: on grid ties, with absent draws and with rows that are never drawn."""
+        def by_stable_argsort(table, q_row, q_positions, column, n):
+            cols = [j for j in np.argsort(table.id_rank).tolist() if j != q_row]
+            inst_dist = distance_matrix(q_positions, table.positions)
+            q_idx = np.zeros(n, dtype=np.int64) if q_row is None else column(q_row)
+            dist = np.full((n, len(cols)), np.inf)
+            for c, j in enumerate(cols):
+                idx = column(j)
+                dist[:, c] = np.where(idx < 0, np.inf, inst_dist[q_idx, table.first[j] + idx])
+            top = np.argsort(dist, axis=1, kind="stable")[:, :1]
+            member = np.zeros(dist.shape, dtype=bool)
+            present = np.take_along_axis(np.isfinite(dist), top, axis=1)
+            np.put_along_axis(member, top, present, axis=1)
+            return member, cols
+
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            objects = []
+            for i in rng.permutation(int(rng.integers(1, 9))).tolist():
+                m = int(rng.integers(1, 4))
+                scale = 0.5 if rng.random() < 0.5 else 1.0
+                specs = [(rng.integers(0, 3), rng.integers(0, 3), scale / m) for _ in range(m)]
+                objects.append(make_object(f"O{i}", specs))
+            db = UncertainDatabase(tuple(objects))
+            X = sample_worlds(db, 64, seed=int(rng.integers(1 << 30)))
+            query = [(float(rng.integers(0, 3)), float(rng.integers(0, 3)))]
+            got = _sampled_members(db.table, None, query, X.column, len(X), KnnPredicate(1))
+            want = by_stable_argsort(db.table, None, query, X.column, len(X))
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
