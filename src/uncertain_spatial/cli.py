@@ -187,7 +187,7 @@ def _config_args(path: str, command: argparse.ArgumentParser) -> List[str]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
             raise ValidationError(f"malformed config JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValidationError("config file must hold a JSON object")

@@ -451,7 +451,7 @@ def loads_database(text: Union[str, bytes]) -> UncertainDatabase:
     """Parse the dataset JSON format; object and instance order is preserved."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise ValidationError(f"malformed dataset JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("objects"), list):
         raise ValidationError('dataset JSON must be an object with an "objects" array')

@@ -262,7 +262,7 @@ def knn_object_probability(
         j = _target_index(rest, q, o)
         dist = distance_matrix([point.position], rest.table.positions)[0]
         parts.append(w * _knn_probability(_closer_masses(rest.table, dist, j), k, kernel))
-    return math.fsum(parts)
+    return min(1.0, math.fsum(parts))
 
 
 def rank_distribution(
@@ -285,7 +285,7 @@ def rank_distribution(
         for p, trials in _closer_masses(rest.table, dist, j):
             part += p * kernel(trials).mass
         mass = mass + w * part
-    return CountDistribution(mass)
+    return CountDistribution(np.minimum(1.0, mass))
 
 
 def _position_probabilities(
@@ -311,7 +311,7 @@ def object_probabilities(
     acc = 0.0
     for w, point, rest in _mix_over_query(db, q):
         acc = acc + w * np.array(_position_probabilities(rest, point, predicate, kernel))
-    return dict(zip(rest.object_ids, acc.tolist()))
+    return dict(zip(rest.object_ids, np.minimum(1.0, acc).tolist()))
 
 
 def threshold_query(
@@ -382,7 +382,8 @@ def answer_range(
         trials = _position_probabilities(rest, point, predicate, kernel)
         acc = acc + w * np.array(trials)
         mass = mass + w * kernel(trials).mass
-    return dict(zip(rest.object_ids, acc.tolist())), CountDistribution(mass)
+    return (dict(zip(rest.object_ids, np.minimum(1.0, acc).tolist())),
+            CountDistribution(np.minimum(1.0, mass)))
 
 
 def sampled_results(

@@ -45,6 +45,8 @@ def alpha_confidence(p_hat: float, n: int, alpha: float) -> float:
     100*(1-alpha) standard-normal percentile), clamped to [0, 1].  Emits a
     warning when ``n * p_hat < 5``, where the approximation is unreliable.
     """
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise ValidationError("alpha must lie in [0, 1]")
     if n < 1:
         raise ValidationError("sample count must be at least 1")
     if not 0.0 <= p_hat <= 1.0:

@@ -14,11 +14,13 @@ wins are searched like any other.
 
 Each timestamp is a set of x-tuples, as in a spatial database: a dataset keeps
 one instance table per timestamp (the query as row 0), and both probability
-backends read only those tables.  The exact backend enumerates the joint
-alternative combinations per timestamp (multiplied across timestamps, which is
-exact under the independence model); the sampled backend shares one fixed
-sample set across the whole lattice, so estimated probabilities are
-anti-monotone by construction.  It draws and ranks each timestamp through the
+backends read only those tables.  The exact backend reads each timestamp as a
+spatial database queried by the query trajectory's alternatives, so an object's
+win there is its 1-NN probability from the spatial kNN engine (its closer
+masses, tie rule and kernel); wins multiply across timestamps, which is exact
+under the independence model.  The sampled backend shares one fixed sample set
+across the whole lattice, so estimated probabilities are anti-monotone by
+construction.  It draws and ranks each timestamp through the
 sampling module's 1-NN membership core, the one the spatial estimators use, so
 only objects that can be nearest are drawn.  ``answer_pcnn`` is the one entry
 point over both.
@@ -31,25 +33,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from .bernoulli import poisson_binomial_recurrence
 from .model import (
     PROB_TOL,
     CapExceededError,
     InstanceTable,
+    UncertainDatabase,
     ValidationError,
     distance_matrix,
     json_xyp,
 )
 from .predicates import KnnPredicate
+from .queries import _closer_masses, _knn_probability, _mix_over_query
 from .sampling import _branches, _sampled_members, _substreams, _uniforms
 
-#: Default cap on joint alternative combinations enumerated per timestamp.
-DEFAULT_JOINT_CAP = 2**22
 #: Default cap on lattice candidates validated.
 DEFAULT_LATTICE_CAP = 10**6
 
@@ -95,19 +98,17 @@ class TrajectoryDataset:
     timestamps: "tuple[int, ...]"
     query: UncertainTrajectory
     objects: "tuple[UncertainTrajectory, ...]"
-    _rows: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         domain = tuple(sorted(self.timestamps))
         object.__setattr__(self, "timestamps", domain)
         if not domain:
             raise ValidationError("trajectory dataset has no timestamps")
-        rows = {}
-        for r, traj in enumerate(self.objects, 1):
-            if traj.id in rows or traj.id == self.query.id:
+        seen = {self.query.id}
+        for traj in self.objects:
+            if traj.id in seen:
                 raise ValidationError(f"duplicate trajectory id {traj.id!r}")
-            rows[traj.id] = r
-        object.__setattr__(self, "_rows", rows)
+            seen.add(traj.id)
         repeated = sorted({a for a, b in zip(domain, domain[1:]) if a == b})
         if repeated:
             raise ValidationError(f"trajectory dataset repeats timestamps {repeated}")
@@ -116,10 +117,6 @@ class TrajectoryDataset:
                 raise ValidationError(
                     f"trajectory {traj.id!r} does not cover the shared timestamp domain"
                 )
-
-    def row(self, object_id: str) -> int:
-        """The object's row in every per-timestamp table; ``KeyError`` when absent."""
-        return self._rows[object_id]
 
     @property
     def object_ids(self) -> "tuple[str, ...]":
@@ -186,7 +183,7 @@ def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
     """Parse the trajectory dataset JSON format."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
         raise ValidationError(f"malformed trajectory JSON: {exc}") from exc
     try:
         timestamps = doc["timestamps"]
@@ -211,51 +208,47 @@ def load_trajectory_dataset(source: Union[str, bytes, IO]) -> TrajectoryDataset:
 
 
 class ExactTrajectoryBackend:
-    """Exact NN probabilities by joint enumeration at each timestamp.
+    """Exact NN probabilities, per timestamp from the spatial kNN engine.
 
-    Win events at distinct timestamps involve disjoint independent draws, so
-    the all-timestamps probability is the product of per-timestamp wins; the
-    per-timestamp values are cached across the whole lattice run.  When every
-    enumerated combination wins, the probability is returned as exactly 1.0, so
-    adding a surely won timestamp to a set leaves the product bit for bit as is.
+    At one timestamp the trajectories are x-tuples of a spatial database and the
+    query is an object of it, mixed over its alternatives, so an object's win is
+    its kNN probability with k = 1, from ``queries``' closer masses, tie rule and
+    kernel.  Win events at distinct timestamps involve disjoint independent draws,
+    so the all-timestamps probability is the product of per-timestamp wins; the
+    per-timestamp values are cached across the whole lattice run.  When no closer
+    mass m of any (query alternative, object alternative) pair moves ``1.0 - m``
+    off 1.0, the win is returned as exactly 1.0, so adding a surely won timestamp
+    to a set leaves the product bit for bit as is.
     """
 
-    def __init__(self, dataset: TrajectoryDataset, cap: int = DEFAULT_JOINT_CAP):
+    def __init__(self, dataset: TrajectoryDataset):
         self.dataset = dataset
-        self.cap = cap
         self._win_cache: Dict[Tuple[str, int], float] = {}
+        self._mixes: Dict[int, tuple] = {}
+
+    def _mix(self, t: int):
+        """The timestamp's database without the query, and per query alternative its
+        weight and its distance to every instance; built once per timestamp."""
+        if t not in self._mixes:
+            ds = self.dataset
+            db = UncertainDatabase.from_table((ds.query.id, *ds.object_ids), ds.tables[t])
+            weights, points, rests = zip(*_mix_over_query(db, ds.query.id))
+            dist = distance_matrix([point.position for point in points], rests[0].table.positions)
+            self._mixes[t] = rests[0], list(zip(weights, dist))
+        return self._mixes[t]
 
     def _win_probability(self, object_id: str, t: int) -> float:
         key = (object_id, t)
         if key in self._win_cache:
             return self._win_cache[key]
-        j = self.dataset.row(object_id)
-        table = self.dataset.tables[t]
-        first = table.first.tolist()
-        # Python ints: the product of alternative counts overflows int64 long before the cap
-        joint = math.prod(np.diff(first).tolist())
-        if joint > self.cap:
-            raise CapExceededError(
-                f"timestamp {t}: {joint} joint alternative combinations exceed cap {self.cap}"
-            )
-        # beaten[a, i, b]: instance b's probability if it lies closer to query alternative a
-        # than the object's alternative i does, or as close with its owner's id sorting first
-        dist = distance_matrix(table.positions[: first[1]], table.positions)
-        d = dist[:, first[j] : first[j + 1], None]
-        ahead = table.id_rank[table.owner] < table.id_rank[j]
-        beaten = np.where((dist[:, None] < d) | ((dist[:, None] == d) & ahead), table.prob, 0.0)
-        competitors = [(first[c], first[c + 1]) for c in range(1, len(first) - 1) if c != j]
-        target = table.prob[first[j] : first[j + 1]].tolist()
-        terms = []
-        all_certain = True
-        for q_p, per_alt in zip(table.prob[: first[1]].tolist(), beaten.tolist()):
-            for o_p, row in zip(target, per_alt):
-                win_given = math.prod(
-                    (1.0 - math.fsum(row[lo:hi]) for lo, hi in competitors), start=1.0
-                )
-                all_certain = all_certain and win_given == 1.0
-                terms.append(q_p * o_p * win_given)
-        win = 1.0 if all_certain else min(1.0, math.fsum(terms))
+        rest, mix = self._mix(t)
+        j = rest.index(object_id)
+        parts, sure = [], True
+        for w, dist in mix:
+            masses = list(_closer_masses(rest.table, dist, j))
+            sure = sure and all((1.0 - m == 1.0).all() for _, m in masses)
+            parts.append(w * _knn_probability(masses, 1, poisson_binomial_recurrence))
+        win = 1.0 if sure else min(1.0, math.fsum(parts))
         self._win_cache[key] = win
         return win
 
@@ -318,15 +311,14 @@ class SampledTrajectoryBackend:
 Backend = Union[ExactTrajectoryBackend, SampledTrajectoryBackend]
 
 
-def _checked(dataset: TrajectoryDataset, object_id: str, timestamps: Iterable[int], what: str):
-    """The sorted distinct timestamps; they lie in the domain and the object exists."""
+def _checked(dataset: TrajectoryDataset, timestamps: Iterable[int], what: str):
+    """The sorted distinct timestamps; they lie in the domain."""
     ts = tuple(sorted(set(timestamps)))
     if not ts:
         raise ValidationError(f"{what} must be non-empty")
     unknown = set(ts) - set(dataset.timestamps)
     if unknown:
         raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
-    dataset.row(object_id)
     return ts
 
 
@@ -339,7 +331,7 @@ def pfann_probability(
     """Probability that the object is the query's NN at every given timestamp."""
     if backend is None:
         backend = ExactTrajectoryBackend(dataset)
-    return backend.pfann(object_id, _checked(dataset, object_id, timestamps, "timestamp set"))
+    return backend.pfann(object_id, _checked(dataset, timestamps, "timestamp set"))
 
 
 def pc_tau_nn(
@@ -363,7 +355,7 @@ def pc_tau_nn(
         raise ValidationError("tau must lie in (0, 1]")
     if backend is None:
         backend = ExactTrajectoryBackend(dataset)
-    domain = _checked(dataset, object_id, timestamps, "query interval")
+    domain = _checked(dataset, timestamps, "query interval")
 
     qualified: Dict[Tuple[int, ...], float] = {}
     level = [(t,) for t in domain]
@@ -425,8 +417,8 @@ def answer_pcnn(
 ) -> Dict[str, List[TimestampSet]]:
     """Qualifying timestamp sets over the whole domain, per object with any.
 
-    ``backend`` is ``exact`` enumeration or ``sampled`` shared Monte-Carlo worlds
-    (``samples`` worlds from ``seed``).  With ``object_id`` only that object is
+    ``backend`` is ``exact`` (the kNN engine per timestamp) or ``sampled`` shared
+    Monte-Carlo worlds (``samples`` worlds from ``seed``).  With ``object_id`` only that object is
     searched; with ``maximal`` only sets that no reported set strictly contains are kept.
     """
     if backend == "exact":

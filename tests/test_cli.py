@@ -227,6 +227,38 @@ class TestRankCommand:
             assert x == pytest.approx(y, abs=1e-12)
 
 
+class TestQueryObjectMix:
+    """Q's probabilities sum to 1 + 8e-10, which passes as certain, and A is surely the
+    nearest object to every position of Q and within 2 of it; mixing over Q's positions
+    must not lift a probability above 1."""
+
+    DOC = {"objects": [
+        {"id": "Q", "instances": [{"x": 0.0, "y": 0.0, "p": 0.5},
+                                  {"x": 1.0, "y": 0.0, "p": 0.5000000008}]},
+        {"id": "A", "instances": [{"x": 0.5, "y": 0.5, "p": 1.0}]},
+        {"id": "B", "instances": [{"x": 10.0, "y": 0.0, "p": 1.0}]},
+    ]}
+
+    @pytest.mark.parametrize("backend", ["pbr", "gf"])
+    @pytest.mark.parametrize("command, field, expected", [
+        (["knn", "--k", "1"], "probabilities", {"A": 1, "B": 0}),
+        (["topk", "--k", "1", "--nn", "1"], "probabilities", {"A": 1, "B": 0}),
+        (["range", "--epsilon", "2"], "probabilities", {"A": 1, "B": 0}),
+        (["range", "--epsilon", "2"], "count_distribution", [0, 1, 0]),
+        (["rank", "--object", "A"], "ranks", [1, 0]),
+    ], ids=["knn", "topk", "range", "range-counts", "rank"])
+    def test_probabilities_stay_within_one(self, command, field, expected, backend,
+                                           tmp_path, capsys):
+        data = tmp_path / "over.json"
+        data.write_text(json.dumps(self.DOC))
+        code, out, _ = run_cli(
+            command + ["--dataset", str(data), "--query-object", "Q", "--backend", backend],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)[field] == expected
+
+
 class TestWorldsCommand:
     def test_fixture(self, capsys):
         code, out, _ = run_cli(
@@ -267,6 +299,22 @@ class TestRepsCommand:
         )
         assert code == 0
         assert json.loads(out)["representatives"]
+
+    @pytest.mark.parametrize("alpha", ["7", "-1", "nan"])
+    def test_alpha_checked_when_one_result_covers_every_sample(self, alpha, capsys):
+        """C is surely nearest to (3, 0), so its bound needs no quantile; alpha is still
+        checked."""
+        code, out, err = run_cli(
+            [
+                "reps", "--dataset", str(FIXTURES / "knn_demo.json"),
+                "--query-x", "3", "--query-y", "0", "--nn", "1", "--samples", "50",
+                "--tau", "0.5", "--alpha", alpha,
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "alpha must lie in [0, 1]"}
 
 
 class TestPcnnCommand:
@@ -434,6 +482,27 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("reader", ["dataset", "trajectory", "config"])
+    def test_deeply_nested_json(self, reader, tmp_path, capsys):
+        """JSON nested past the decoder's recursion limit is malformed input."""
+        deep = "[" * 200_000 + "]" * 200_000
+        bad = tmp_path / "deep.json"
+        if reader == "dataset":
+            bad.write_text('{"objects": ' + deep + "}")
+            argv = [KNN_ARGS[0], "--dataset", str(bad)] + KNN_ARGS[3:]
+        elif reader == "trajectory":
+            bad.write_text('{"timestamps": [0], "query": ' + deep + ', "objects": []}')
+            argv = ["pcnn", "--dataset", str(bad), "--tau", "0.5"]
+        else:
+            bad.write_text('{"k": ' + deep + "}")
+            argv = KNN_ARGS + ["--config", str(bad)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith(f"malformed {reader} JSON: ")
 
     def test_integer_beyond_float_range_in_dataset(self, tmp_path, capsys):
         """A 401-digit integer literal is refused like any malformed instance."""

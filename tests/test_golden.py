@@ -149,6 +149,10 @@ def _other_cases():
             ["pcnn"] + certain + ["--tau", "0.3", "--maximal"] + backend,
             ["pcnn"] + certain + ["--tau", "1", "--object", "o1"] + backend,
         ]
+    # a two-alternative query and 23 two-alternative trajectories: 2^24 joint alternative
+    # combinations per timestamp, while the exact work grows with the alternatives only
+    pcnn.append(["pcnn", "--dataset", "fixtures/pcnn_wide.json", "--tau", "0.02",
+                 "--backend", "exact"])
     worlds = ["--dataset", "fixtures/worlds_demo.json"]
     errors = [
         ["range"] + worlds + ["--query-object", "U2", "--epsilon", "1"] + _backend(b)

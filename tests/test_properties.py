@@ -4,7 +4,7 @@ the object-by-object path, the kernels and the instance-table kNN and rank paths
 loops that visit every trial and instance one at a time, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
-exact trajectory backend against its scalar loop."""
+exact trajectory backend against the kNN engine and the oracle."""
 
 import math
 from collections import Counter
@@ -23,6 +23,7 @@ from uncertain_spatial import (  # noqa: E402
     estimate_object_probabilities,
     estimate_result_probabilities,
     evaluate_world,
+    object_based,
     sample_worlds,
 )
 from uncertain_spatial.bernoulli import (  # noqa: E402
@@ -421,27 +422,27 @@ def test_maximal_sets_match_the_quadratic_filter(results):
     assert maximal_timestamp_sets(results) == _quadratic_maximal(results)
 
 
-def _scalar_win_probability(ds, object_id, t):
-    """The exact backend's per-timestamp win probability as one scalar loop per alternative."""
-    target = {o.id: o for o in ds.objects}[object_id]
-    competitors = [o for o in ds.objects if o.id != object_id]
-    terms = []
-    all_certain = True
-    for q_pos, q_p in ds.query.per_timestamp[t]:
-        for o_pos, o_p in target.per_timestamp[t]:
-            d = euclidean_distance(q_pos, o_pos)
-            win_given = 1.0
-            for c in competitors:
-                beaten = math.fsum(
-                    p
-                    for pos, p in c.per_timestamp[t]
-                    if euclidean_distance(q_pos, pos) < d
-                    or (euclidean_distance(q_pos, pos) == d and c.id < object_id)
-                )
-                win_given *= 1.0 - beaten
-            all_certain = all_certain and win_given == 1.0
-            terms.append(q_p * o_p * win_given)
-    return 1.0 if all_certain else min(1.0, math.fsum(terms))
+def _timestamp_database(ds, t):
+    """The trajectories' alternatives at timestamp t as a spatial database, the query first."""
+    return UncertainDatabase(
+        make_object(tr.id, [(x, y, p) for (x, y), p in tr.per_timestamp[t]])
+        for tr in (ds.query, *ds.objects)
+    )
+
+
+def _surely_wins(ds, object_id, t):
+    """No competitor alternative lies nearer any query alternative than an alternative of the
+    object does, or as near with an id sorting first."""
+    alts = {tr.id: tr.per_timestamp[t] for tr in ds.objects}
+    return all(
+        euclidean_distance(q_pos, pos) > d
+        or (euclidean_distance(q_pos, pos) == d and cid > object_id)
+        for q_pos, _ in ds.query.per_timestamp[t]
+        for d in (euclidean_distance(q_pos, o_pos) for o_pos, _ in alts[object_id])
+        for cid, c_alts in alts.items()
+        if cid != object_id
+        for pos, _ in c_alts
+    )
 
 
 @st.composite
@@ -465,11 +466,34 @@ def trajectory_datasets(draw):
     )
 
 
+#: o0 surely wins, and its alternatives' probabilities 1/6, 4/6, 1/6 add up to
+#: 0.9999999999999999 in order: the kNN engine gives that float, the backend 1.0.
+SURE_WIN = TrajectoryDataset(
+    timestamps=(0,),
+    query=UncertainTrajectory(id="q", per_timestamp={0: (((0.0, 0.0), 1.0),)}),
+    objects=(
+        UncertainTrajectory(id="o0", per_timestamp={
+            0: (((1.0, 0.0), 1 / 6), ((0.0, 1.0), 4 / 6), ((1.0, 1.0), 1 / 6))}),
+        UncertainTrajectory(id="o1", per_timestamp={0: (((4.0, 4.0), 1.0),)}),
+    ),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(trajectory_datasets())
-def test_exact_trajectory_backend_matches_the_scalar_loop(ds):
-    """The table-based exact backend keeps the scalar loop's arithmetic, so wins are ``==``."""
+@example(SURE_WIN)
+def test_exact_trajectory_wins_are_the_knn_engine(ds):
+    """A single-timestamp win is the 1-NN object probability of that timestamp's database
+    queried by the query trajectory, or exactly 1.0 when the object surely wins; it lies
+    within 1e-12 of the possible-worlds oracle."""
     backend = ExactTrajectoryBackend(ds)
-    for oid in ds.object_ids:
-        for t in ds.timestamps:
-            assert backend.pfann(oid, (t,)) == _scalar_win_probability(ds, oid, t)
+    for t in ds.timestamps:
+        db = _timestamp_database(ds, t)
+        oracle = object_based(db, "q", KnnPredicate(1))
+        for oid in ds.object_ids:
+            win = backend.pfann(oid, (t,))
+            if _surely_wins(ds, oid, t):
+                assert win == 1.0
+            else:
+                assert win == knn_object_probability(db, "q", 1, oid)
+            assert abs(win - oracle[oid]) <= 1e-12

@@ -163,11 +163,6 @@ class TestExactBackend:
                         if t not in sub:
                             assert be.pfann(oid, sub + (t,)) <= p_sub + 1e-12
 
-    def test_joint_cap(self, demo_dataset):
-        be = ExactTrajectoryBackend(demo_dataset, cap=1)
-        with pytest.raises(CapExceededError):
-            be.pfann("o1", [0])
-
 
 class TestSampledBackend:
     def test_within_five_sigma_of_exact(self):
