@@ -9,6 +9,12 @@ number of representatives) and k-medoid clustering of the result space
 
 Possible results form a compressed multiset, so every count here is weighted
 by support.
+
+PAM's build, its swaps and the choice of k share one improvement rule: in
+visit order, take an entry below the running best minus a tolerance.  Costs
+and silhouette sums are row sums over C-ordered rows (numpy sums each row
+pairwise, as it sums that row alone), and the silhouette mean is accumulated
+in point order, so every float is the one a candidate-by-candidate loop gives.
 """
 
 from __future__ import annotations
@@ -164,23 +170,15 @@ def max_cover_representatives(
     return chosen
 
 
-def _pam_build(dist: np.ndarray, weights: np.ndarray, k: int) -> List[int]:
-    m = dist.shape[0]
-    costs = dist * weights[None, :]
-    first = int(np.argmin(costs.sum(axis=1)))
-    medoids = [first]
-    nearest = dist[first].copy()
-    while len(medoids) < k:
-        best, best_cost = None, math.inf
-        for cand in range(m):
-            if cand in medoids:
-                continue
-            cost = float((np.minimum(nearest, dist[cand]) * weights).sum())
-            if cost < best_cost - 1e-15:
-                best, best_cost = cand, cost
-        medoids.append(best)
-        nearest = np.minimum(nearest, dist[best])
-    return medoids
+def _scan(values: Sequence[float], best: float, tol: float) -> Tuple[Optional[int], float]:
+    """The last entry taken, and its value, when entries are visited in order and taken
+    while below the running best minus tol: neither an argmin nor the first entry
+    within tol of the minimum."""
+    pick = None
+    for i, value in enumerate(values):
+        if value < best - tol:
+            pick, best = i, value
+    return pick, best
 
 
 def pam_kmedoids(
@@ -188,81 +186,78 @@ def pam_kmedoids(
 ) -> Tuple[List[int], np.ndarray]:
     """Support-weighted PAM: greedy build, then swap until no improvement.
 
-    Returns the sorted medoid indices and, per point, the index (into the
-    medoid list) of its nearest medoid.  Ties are resolved deterministically
-    by index order.
+    Each step prices every candidate at once, as the C-ordered row sums of
+    ``np.minimum(nearest, dist[cands]) * weights``; ``nearest`` is the
+    distance to the chosen medoids in the build, and to all medoids but the
+    outgoing one in a swap, outgoing medoids taken in sorted order.  The scan
+    takes the build's first medoid with tol 0 (the first cheapest), its later
+    ones with tol 1e-15 from +inf, and a swap with tol 1e-12 from the current
+    cost.  Returns the sorted medoid indices and, per point, the index (into
+    the medoid list) of its nearest medoid.
     """
     m = dist.shape[0]
     if not 1 <= k <= m:
         raise ValidationError(f"cluster count must be within 1..{m}")
-    medoids = _pam_build(dist, weights, k)
 
-    def total_cost(meds: List[int]) -> float:
-        return float((dist[meds].min(axis=0) * weights).sum())
+    def costs(nearest: np.ndarray, cands: List[int]) -> List[float]:
+        rows = dist[cands]
+        np.minimum(rows, nearest, out=rows)
+        rows *= weights
+        return rows.sum(axis=1).tolist()
 
-    current = total_cost(medoids)
-    improved = True
-    while improved:
-        improved = False
-        best_swap, best_cost = None, current
+    medoids: List[int] = []
+    nearest = np.full(m, math.inf)
+    while len(medoids) < k:
+        cands = [c for c in range(m) if c not in medoids]
+        pick, current = _scan(costs(nearest, cands), math.inf, 1e-15 if medoids else 0.0)
+        medoids.append(cands[pick])
+        nearest = np.minimum(nearest, dist[cands[pick]])
+    while True:
+        swap, best = None, current
+        cands = [c for c in range(m) if c not in medoids]
         for med in sorted(medoids):
-            for cand in range(m):
-                if cand in medoids:
-                    continue
-                trial = [c for c in medoids if c != med] + [cand]
-                cost = total_cost(trial)
-                if cost < best_cost - 1e-12:
-                    best_swap, best_cost = (med, cand), cost
-        if best_swap is not None:
-            med, cand = best_swap
-            medoids = [c for c in medoids if c != med] + [cand]
-            current = best_cost
-            improved = True
+            kept = np.min(dist[[c for c in medoids if c != med]], axis=0, initial=math.inf)
+            pick, best = _scan(costs(kept, cands), best, 1e-12)
+            if pick is not None:
+                swap = (med, cands[pick])
+        if swap is None:
+            break
+        medoids = [c for c in medoids if c != swap[0]] + [swap[1]]
+        current = best
     medoids = sorted(medoids)
     labels = np.argmin(dist[medoids], axis=0)
     return medoids, labels
 
 
 def _weighted_silhouette(dist: np.ndarray, weights: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over the support-weighted multiset of results."""
-    m = dist.shape[0]
-    k = labels.max() + 1
+    """Mean silhouette over the support-weighted multiset of results.
+
+    The labels come from PAM over distinct results, so every cluster holds
+    its medoid and every distance between two points is positive.
+    """
+    m, k = dist.shape[0], labels.max() + 1
     cluster_w = np.array([weights[labels == c].sum() for c in range(k)])
-    score_sum, weight_sum = 0.0, 0.0
-    for i in range(m):
-        c = labels[i]
-        within = cluster_w[c] - 1  # other members, counting same-result copies at distance 0
-        if within <= 0:
-            continue
-        a = float((dist[i, labels == c] * weights[labels == c]).sum()) / within
-        b = math.inf
-        for other in range(k):
-            if other == c or cluster_w[other] == 0:
-                continue
-            b = min(
-                b,
-                float((dist[i, labels == other] * weights[labels == other]).sum())
-                / cluster_w[other],
-            )
-        if not math.isfinite(b):
-            continue
-        denom = max(a, b)
-        s = 0.0 if denom == 0.0 else (b - a) / denom
-        score_sum += weights[i] * s
-        weight_sum += weights[i]
-    return 0.0 if weight_sum == 0.0 else score_sum / weight_sum
+    sums = np.empty((m, k))
+    for c in range(k):
+        cols = labels == c
+        sums[:, c] = (np.ascontiguousarray(dist[:, cols]) * weights[cols]).sum(axis=1)
+    points = np.arange(m)
+    within = cluster_w[labels] - 1  # other members, counting same-result copies at distance 0
+    means = sums / cluster_w
+    means[points, labels] = math.inf
+    keep = (within > 0) & (k > 1)  # one cluster has no silhouette
+    if not keep.any():
+        return 0.0
+    a, b, w = sums[points, labels][keep] / within[keep], means.min(axis=1)[keep], weights[keep]
+    return np.cumsum(w * ((b - a) / np.maximum(a, b)))[-1] / np.cumsum(w)[-1]
 
 
 def _choose_clustering(dist: np.ndarray, weights: np.ndarray) -> Tuple[List[int], np.ndarray]:
-    """The PAM clustering with the best weighted silhouette over k in 2..min(8, m - 1)."""
+    """The PAM clustering with the best weighted silhouette over k in 2..max(2, min(8, m - 1))."""
     m = dist.shape[0]
-    best, best_score = None, -math.inf
-    for k in range(2, min(8, m - 1) + 1):
-        medoids, labels = pam_kmedoids(dist, weights, k)
-        score = _weighted_silhouette(dist, weights, labels)
-        if score > best_score + 1e-12:
-            best, best_score = (medoids, labels), score
-    return best if best is not None else pam_kmedoids(dist, weights, min(2, m))
+    runs = [pam_kmedoids(dist, weights, k) for k in range(2, max(3, min(9, m)))]
+    scores = [-_weighted_silhouette(dist, weights, labels) for _, labels in runs]
+    return runs[_scan(scores, math.inf, 1e-12)[0]]
 
 
 def cluster_representatives(
@@ -287,15 +282,15 @@ def cluster_representatives(
             raise ValidationError("tau_max mode requires tau_max in [0, 1]")
     if not pr:
         return []
+    if k is not None and not 1 <= k <= len(pr):
+        raise ValidationError(f"cluster count must be within 1..{len(pr)}")
     supports = np.array([r.support for r in pr], dtype=np.int64)
     n_samples = int(supports.sum())
     dist = _distance_matrix(pr)
     if len(pr) < 2:
         return [_make_representative(pr, dist, supports, n_samples, 0, 0.0, alpha)]
-    if k is None:
-        medoids, labels = _choose_clustering(dist, supports.astype(float))
-    else:
-        medoids, labels = pam_kmedoids(dist, supports.astype(float), k)
+    w = supports.astype(float)
+    medoids, labels = _choose_clustering(dist, w) if k is None else pam_kmedoids(dist, w, k)
 
     reps: List[Representative] = []
     for c in range(len(medoids)):

@@ -150,12 +150,16 @@ def result_based(
     predicate,
     cap: int = DEFAULT_WORLD_CAP,
 ) -> "dict[ResultSet, float]":
-    """Probability of each distinct deterministic result across all worlds."""
+    """Probability of each distinct deterministic result across all worlds, at most 1.
+
+    Instance probabilities may sum to 1 within ``PROB_TOL``, so world sums are
+    clamped at 1 as the kernels clamp theirs.
+    """
     dist: Dict[ResultSet, list] = {}
     for world in enumerate_worlds(db, cap):
         res = evaluate_world(db, world, q, predicate)
         dist.setdefault(res, []).append(world.prob)
-    return {res: math.fsum(ps) for res, ps in sorted(dist.items())}
+    return {res: min(1.0, math.fsum(ps)) for res, ps in sorted(dist.items())}
 
 
 def object_based(
@@ -181,7 +185,8 @@ def object_and_count_based(
     """Per-object marginals (as :func:`object_based`) and the result-size distribution.
 
     One enumeration feeds both; the size mass is summed over the worlds in
-    enumeration order.
+    enumeration order.  Marginals and masses are clamped at 1, as in
+    :func:`result_based`.
     """
     qobj = resolve_query(db, q)
     acc: Dict[str, list] = {obj.id: [] for obj in db.objects if obj is not qobj}
@@ -191,7 +196,8 @@ def object_and_count_based(
         for oid in res:
             acc[oid].append(world.prob)
         mass[len(res)] += world.prob
-    return {oid: math.fsum(ps) for oid, ps in acc.items()}, CountDistribution(mass)
+    marginals = {oid: min(1.0, math.fsum(ps)) for oid, ps in acc.items()}
+    return marginals, CountDistribution(np.minimum(1.0, mass))
 
 
 def object_based_from_result_based(rd: "dict[ResultSet, float]") -> "dict[str, float]":

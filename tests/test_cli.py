@@ -258,6 +258,64 @@ class TestQueryObjectMix:
         assert code == 0
         assert json.loads(out)[field] == expected
 
+    @pytest.mark.parametrize("command, field, expected", [
+        (["knn", "--k", "1", "--backend", "exact"], "probabilities", {"A": 1, "B": 0}),
+        (["topk", "--k", "1", "--nn", "1", "--backend", "exact"], "probabilities",
+         {"A": 1, "B": 0}),
+        (["range", "--epsilon", "2", "--backend", "exact"], "probabilities", {"A": 1, "B": 0}),
+        (["range", "--epsilon", "2", "--backend", "exact"], "count_distribution", [0, 1, 0]),
+    ] + [
+        (["knn", "--k", "1", "--semantics", "result", "--backend", backend], "results",
+         [{"result": ["A"], "p": 1}])
+        for backend in ("pbr", "gf", "exact", "sampled")
+    ], ids=["knn", "topk", "range", "range-counts", "result-pbr", "result-gf", "result-exact",
+            "result-sampled"])
+    def test_oracle_stays_within_one(self, command, field, expected, tmp_path, capsys):
+        data = tmp_path / "over.json"
+        data.write_text(json.dumps(self.DOC))
+        code, out, _ = run_cli(command + ["--dataset", str(data), "--query-object", "Q"], capsys)
+        assert code == 0
+        assert json.loads(out)[field] == expected
+
+
+class TestOracleClamp:
+    """A and B each sum to 1 + 8e-10, which passes as certain, so the worlds sum to
+    1 + 1.6e-9; A is surely the nearest object to the origin and the only one within 2
+    of it.  No probability the oracle reports may exceed 1."""
+
+    DOC = {"objects": [
+        {"id": "A", "instances": [{"x": 0.0, "y": 0.0, "p": 0.5},
+                                  {"x": 1.0, "y": 0.0, "p": 0.5000000008}]},
+        {"id": "B", "instances": [{"x": 10.0, "y": 0.0, "p": 0.5},
+                                  {"x": 11.0, "y": 0.0, "p": 0.5000000008}]},
+    ]}
+
+    @pytest.mark.parametrize("command, field, expected", [
+        (["knn", "--k", "1", "--backend", "exact"], "probabilities", {"A": 1, "B": 0}),
+        (["range", "--epsilon", "2", "--backend", "exact"], "probabilities", {"A": 1, "B": 0}),
+        (["range", "--epsilon", "2", "--backend", "exact"], "count_distribution", [0, 1, 0]),
+    ] + [
+        (["knn", "--k", "1", "--semantics", "result", "--backend", backend], "results",
+         [{"result": ["A"], "p": 1}])
+        for backend in ("pbr", "gf", "exact", "sampled")
+    ], ids=["knn", "range", "range-counts", "result-pbr", "result-gf", "result-exact",
+            "result-sampled"])
+    def test_probabilities_stay_within_one(self, command, field, expected, tmp_path, capsys):
+        data = tmp_path / "over.json"
+        data.write_text(json.dumps(self.DOC))
+        code, out, _ = run_cli(
+            command + ["--dataset", str(data), "--query-x", "0", "--query-y", "0"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)[field] == expected
+
+    def test_worlds_total_is_the_plain_sum(self, tmp_path, capsys):
+        data = tmp_path / "over.json"
+        data.write_text(json.dumps(self.DOC))
+        code, out, _ = run_cli(["worlds", "--dataset", str(data)], capsys)
+        assert code == 0
+        assert json.loads(out)["total_probability"] == 1.0000000016
+
 
 class TestWorldsCommand:
     def test_fixture(self, capsys):
@@ -315,6 +373,25 @@ class TestRepsCommand:
         assert code == 1
         assert out == ""
         assert json.loads(err) == {"error": "alpha must lie in [0, 1]"}
+
+    ONE_RESULT = ("knn_demo.json", "3", "0", "1")  # C is surely the nearest to (3, 0)
+    MANY_RESULTS = ("clustered_demo.json", "50", "50", "3")  # 54 distinct results
+
+    @pytest.mark.parametrize("case, clusters, m", [
+        (ONE_RESULT, "0", 1), (ONE_RESULT, "-3", 1), (ONE_RESULT, "5", 1),
+        (MANY_RESULTS, "0", 54), (MANY_RESULTS, "-3", 54), (MANY_RESULTS, "55", 54),
+    ], ids=["one-0", "one-neg", "one-5", "many-0", "many-neg", "many-55"])
+    def test_cluster_count_checked_against_distinct_results(self, case, clusters, m, capsys):
+        """--clusters must lie in 1..m also when a single result covers every sample."""
+        dataset, x, y, nn = case
+        code, out, err = run_cli(
+            ["reps", "--dataset", str(FIXTURES / dataset), "--query-x", x, "--query-y", y,
+             "--nn", nn, "--samples", "3000", "--method", "cluster", "--clusters", clusters],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": f"cluster count must be within 1..{m}"}
 
 
 class TestPcnnCommand:

@@ -130,6 +130,11 @@ def _other_cases():
                                 "--tau-max", "0.5"],
         ["reps"] + knn + ["--nn", "2", "--samples", "3000", "--method", "cluster",
                           "--clusters", "2", "--alpha", "0.9"],
+    ] + [
+        # auto-k over many distinct results: 54 with --nn 3, 150 with --nn 4
+        ["reps"] + CLUSTERED + ["--query-x", "50", "--query-y", "50", "--nn", nn,
+                                "--samples", "3000", "--method", "cluster"]
+        for nn in ("3", "4")
     ]
     pcnn_path = ["--dataset", "fixtures/pcnn_demo.json"]
     pcnn = [

@@ -4,7 +4,8 @@ the object-by-object path, the kernels and the instance-table kNN and rank paths
 loops that visit every trial and instance one at a time, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
-exact trajectory backend against the kNN engine and the oracle."""
+exact trajectory backend against the kNN engine and the oracle, and PAM, the weighted silhouette
+and the auto-k choice against the one-candidate loops they replaced."""
 
 import math
 from collections import Counter
@@ -19,11 +20,14 @@ from uncertain_spatial import (  # noqa: E402
     KnnPredicate,
     QueryPoint,
     RangePredicate,
+    ResultSet,
     UncertainDatabase,
     estimate_object_probabilities,
     estimate_result_probabilities,
+    PossibleResult,
     evaluate_world,
     object_based,
+    pam_kmedoids,
     sample_worlds,
 )
 from uncertain_spatial.bernoulli import (  # noqa: E402
@@ -39,6 +43,11 @@ from uncertain_spatial.queries import (  # noqa: E402
     knn_object_probability,
     object_probabilities,
     rank_distribution,
+)
+from uncertain_spatial.representatives import (  # noqa: E402
+    _choose_clustering,
+    _distance_matrix,
+    _weighted_silhouette,
 )
 from uncertain_spatial.trajectories import (  # noqa: E402
     ExactTrajectoryBackend,
@@ -497,3 +506,107 @@ def test_exact_trajectory_wins_are_the_knn_engine(ds):
             else:
                 assert win == knn_object_probability(db, "q", 1, oid)
             assert abs(win - oracle[oid]) <= 1e-12
+
+
+def _reference_pam(dist, weights, k):
+    """PAM one candidate at a time: a greedy build, then the best swap per pass."""
+    m = dist.shape[0]
+    first = int(np.argmin((dist * weights[None, :]).sum(axis=1)))
+    medoids = [first]
+    nearest = dist[first].copy()
+    while len(medoids) < k:
+        best, best_cost = None, math.inf
+        for cand in range(m):
+            if cand in medoids:
+                continue
+            cost = float((np.minimum(nearest, dist[cand]) * weights).sum())
+            if cost < best_cost - 1e-15:
+                best, best_cost = cand, cost
+        medoids.append(best)
+        nearest = np.minimum(nearest, dist[best])
+
+    def total_cost(meds):
+        return float((dist[meds].min(axis=0) * weights).sum())
+
+    current = total_cost(medoids)
+    while True:
+        best_swap, best_cost = None, current
+        for med in sorted(medoids):
+            for cand in range(m):
+                if cand in medoids:
+                    continue
+                cost = total_cost([c for c in medoids if c != med] + [cand])
+                if cost < best_cost - 1e-12:
+                    best_swap, best_cost = (med, cand), cost
+        if best_swap is None:
+            break
+        medoids = [c for c in medoids if c != best_swap[0]] + [best_swap[1]]
+        current = best_cost
+    medoids = sorted(medoids)
+    return medoids, np.argmin(dist[medoids], axis=0)
+
+
+def _reference_silhouette(dist, weights, labels):
+    """The weighted mean silhouette, one point and one cluster at a time."""
+    k = labels.max() + 1
+    cluster_w = np.array([weights[labels == c].sum() for c in range(k)])
+    score_sum, weight_sum = 0.0, 0.0
+    for i in range(dist.shape[0]):
+        c = labels[i]
+        within = cluster_w[c] - 1
+        if within <= 0:
+            continue
+        a = float((dist[i, labels == c] * weights[labels == c]).sum()) / within
+        b = math.inf
+        for other in range(k):
+            if other != c and cluster_w[other] != 0:
+                mean = float((dist[i, labels == other] * weights[labels == other]).sum())
+                b = min(b, mean / cluster_w[other])
+        if not math.isfinite(b):
+            continue
+        denom = max(a, b)
+        s = 0.0 if denom == 0.0 else (b - a) / denom
+        score_sum += weights[i] * s
+        weight_sum += weights[i]
+    return 0.0 if weight_sum == 0.0 else score_sum / weight_sum
+
+
+def _reference_choice(dist, weights):
+    m = dist.shape[0]
+    best, best_score = None, -math.inf
+    for k in range(2, min(8, m - 1) + 1):
+        medoids, labels = _reference_pam(dist, weights, k)
+        score = _reference_silhouette(dist, weights, labels)
+        if score > best_score + 1e-12:
+            best, best_score = (medoids, labels), score
+    return best if best is not None else _reference_pam(dist, weights, min(2, m))
+
+
+@st.composite
+def result_families(draw):
+    """m distinct results over a universe of at most 8 objects, so that Jaccard distances
+    tie often, with supports 1..500; m reaches 135, past numpy's 128-element pairwise
+    summation block, and k reaches min(9, m)."""
+    m = draw(st.integers(2, 135))
+    universe = draw(st.integers((m - 1).bit_length(), 8))
+    masks = draw(st.permutations(range(2**universe)))[:m]
+    supports = draw(st.lists(st.integers(1, 500), min_size=m, max_size=m))
+    pr = [PossibleResult(ResultSet.of(f"o{j}" for j in range(universe) if mask >> j & 1), s)
+          for mask, s in zip(masks, supports)]
+    return pr, draw(st.integers(1, min(9, m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(result_families())
+def test_pam_silhouette_and_k_choice_match_the_one_candidate_loops(case):
+    """Whole-row pricing picks the medoids, labels and k that the one-candidate loops do."""
+    pr, k = case
+    dist = _distance_matrix(pr)
+    weights = np.array([r.support for r in pr], dtype=float)
+    medoids, labels = pam_kmedoids(dist, weights, k)
+    ref_medoids, ref_labels = _reference_pam(dist, weights, k)
+    assert medoids == ref_medoids and np.array_equal(labels, ref_labels)
+    assert _weighted_silhouette(dist, weights, labels) == _reference_silhouette(
+        dist, weights, labels)
+    chosen, ref_chosen = _choose_clustering(dist, weights), _reference_choice(dist, weights)
+    assert chosen[0] == ref_chosen[0] and np.array_equal(chosen[1], ref_chosen[1])

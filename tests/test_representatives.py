@@ -15,7 +15,8 @@ from uncertain_spatial import (
     pam_kmedoids,
     standard_normal_quantile,
 )
-from uncertain_spatial.representatives import _distance_matrix
+from uncertain_spatial import representatives
+from uncertain_spatial.representatives import _choose_clustering, _distance_matrix, _scan
 from uncertain_spatial.worlds import ResultSet
 
 from conftest import exhaustive_best_cover
@@ -175,6 +176,37 @@ class TestPam:
         dist = np.zeros((2, 2))
         with pytest.raises(ValidationError):
             pam_kmedoids(dist, np.ones(2), 3)
+
+    def test_scan_takes_entries_below_the_running_best_minus_tol(self):
+        """Not an argmin, and not the first entry within tol of the minimum."""
+        assert _scan([1.0, 1 - 0.5e-15], math.inf, 1e-15) == (0, 1.0)
+        assert _scan([1.0, 1 - 0.8e-15, 1 - 1.6e-15], math.inf, 1e-15) == (2, 1 - 1.6e-15)
+        assert _scan([1.0, 1 - 0.5e-15], math.inf, 0.0) == (1, 1 - 0.5e-15)
+        # at 1e4 one ulp is about 1.8e-12: a one-ulp gain is not taken
+        assert _scan([1e4 - 1.8e-12, 1e4 - 3.7e-12], 1e4, 1e-12) == (1, 1e4 - 3.7e-12)
+        assert _scan([], 1.0, 1e-12) == (None, 1.0)
+
+    def test_first_medoid_is_the_first_cheapest_however_small_the_gap(self):
+        c = 0.5 - 4e-16  # rows 1 and 2 cost about 4e-16 less than row 0
+        dist = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, c], [0.5, c, 0.0]])
+        assert pam_kmedoids(dist, np.ones(3), 1)[0] == [1]
+
+    def test_later_picks_and_swaps_need_a_gain_above_tolerance(self):
+        """Next to medoid 2, medoid 1 would cost about 1e-15 less than medoid 0: less than
+        the build's 1e-15, and less than the swap's 1e-12."""
+        hi, lo = 0.75 + 1e-15, 0.75 - 1e-15
+        dist = np.array([[0.0, hi, lo], [hi, 0.0, 0.25], [lo, 0.25, 0.0]])
+        assert pam_kmedoids(dist, np.array([1.0, 3.0, 3.0]), 2)[0] == [0, 2]
+
+    def test_k_choice_needs_a_silhouette_gain_above_tolerance(self, monkeypatch):
+        """k = 3 beats k = 2 by 5e-13 and is not taken; k = 4 beats it by 2e-12 and is;
+        k = 5 beats k = 4 by 5e-13 and is not."""
+        gains = {2: 0.0, 3: 5e-13, 4: 2e-12, 5: 2.5e-12}
+        monkeypatch.setattr(representatives, "_weighted_silhouette",
+                            lambda dist, weights, labels: 0.5 + gains[labels.max() + 1])
+        pr = pr_of(("A", 5), ("AB", 4), ("C", 3), ("CD", 2), ("E", 2), ("EF", 1))
+        medoids, _ = _choose_clustering(_distance_matrix(pr), np.array([5.0, 4, 3, 2, 2, 1]))
+        assert len(medoids) == 4
 
 
 class TestClusterRepresentatives:
