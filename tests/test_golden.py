@@ -117,6 +117,24 @@ def _clustered_cases():
     return cases
 
 
+#: Objects whose masses sum to exactly 1.0 (A, D, E, F, Q), to 1 - 1e-12 (B and G:
+#: certain within ``PROB_TOL`` but not exactly 1.0) and to 0.9 (C, H), with distance ties
+#: at 1, 2 and 3 from the origin; k runs from 1 past the object count to 10^9.
+EDGES = ["--dataset", "fixtures/knn_edges.json"]
+
+
+def _edge_cases():
+    cases = []
+    for backend in ("pbr", "gf"):
+        for q in (["--query-x", "0", "--query-y", "0"], ["--query-object", "Q"]):
+            for k in ("1", "2", "3", "4", "8", "9", "10", "1000000000"):
+                cases += [
+                    ["knn"] + EDGES + q + ["--k", k, "--backend", backend],
+                    ["topk"] + EDGES + q + ["--nn", k, "--k", "3", "--backend", backend],
+                ]
+    return cases
+
+
 def _other_cases():
     consensus = ["--dataset", "fixtures/consensus_demo.json"]
     knn = ["--dataset", "fixtures/knn_demo.json", "--query-x", "0", "--query-y", "0"]
@@ -186,7 +204,7 @@ def _other_cases():
         ["knn"] + worlds + ["--query-x", "0", "--query-y", "0", "--k", "1", "--backend", "bogus"],
     ]
     return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors,
-            "clustered": _clustered_cases()}
+            "clustered": _clustered_cases(), "edges": _edge_cases()}
 
 
 def all_cases():
