@@ -9,7 +9,14 @@ function are provided and cross-checked by the test suite:
   ``(1 - p_i) + p_i x``, unifying like exponents after each factor.
 
 The recurrence is the default production path; the generating-function route
-exists as the redundant second implementation.
+exists as the redundant second implementation.  Rank and range queries call
+one of the two, as the caller's ``kernel`` argument names it.
+
+A kNN probability needs only P(count <= k-1), the first k entries of the row.
+In the recurrence, entry i of a row depends only on entries i-1 and i of the
+row before, so :func:`truncated_recurrence` folds the trials into k columns and
+carries the rest as one tail mass.  It folds many trial vectors at once, one
+trial of each per numpy step, and the kNN engine reads it for every backend.
 
 Both run on the uncertain trials only (0 < p < 1): a trial with p = 0 leaves
 the distribution unchanged and a trial with p = 1 shifts it up by one count,
@@ -107,6 +114,33 @@ def poisson_binomial_recurrence(probs: Sequence[float]) -> CountDistribution:
         row[1 : j + 1] = row[:j] * pj + row[1 : j + 1] * (1.0 - pj)
         row[0] *= 1.0 - pj
     return _shifted(row, certain, p.size)
+
+
+def truncated_recurrence(trials: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` pmf entries of each column of ``trials``, one row per column.
+
+    Column i of ``trials`` holds one vector of independent trials; row i of the result
+    is ``poisson_binomial_recurrence(trials[:, i]).mass[:width]`` bit for bit, for any
+    width up to the number of trials plus one.  A p = 0 trial is the identity and
+    a p = 1 trial an exact shift, so every column folds through the same steps, and a
+    row of trials that are all zero is skipped.  The mass shifted past ``width`` is
+    carried as a tail, and each column's entries plus its tail must sum to 1.
+    """
+    p = _validated(trials)
+    state = np.zeros((width, p.shape[1]))
+    state[0] = 1.0
+    tail = np.zeros(p.shape[1])
+    for j in np.flatnonzero(p.any(axis=1)):
+        pj = p[j]
+        qj = 1.0 - pj
+        tail += state[-1] * pj
+        state[1:] = state[:-1] * pj + state[1:] * qj
+        state[0] *= qj
+    if np.any(np.abs(state.sum(axis=0) + tail - 1.0) > PROB_TOL):
+        raise ValueError("truncated count distribution does not sum to 1")
+    # C order: a row sums like the kernel's row slice (numpy sums eight or more contiguous
+    # floats pairwise, down a column in order)
+    return state.T.copy()
 
 
 def generating_function(probs: Sequence[float]) -> CountDistribution:

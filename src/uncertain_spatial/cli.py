@@ -28,6 +28,7 @@ from .model import (
     UncertainDatabase,
     ValidationError,
     load_database,
+    parse_json,
 )
 from .predicates import KnnPredicate, RangePredicate
 from .queries import (
@@ -185,10 +186,7 @@ def _config_args(path: str, command: argparse.ArgumentParser) -> List[str]:
     Parsed ahead of the explicit flags, they get the same checks and explicit flags win.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
-            raise ValidationError(f"malformed config JSON: {exc}") from exc
+        overrides = parse_json(fh.read(), "config")
     if not isinstance(overrides, dict):
         raise ValidationError("config file must hold a JSON object")
     args = []

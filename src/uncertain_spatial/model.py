@@ -18,6 +18,7 @@ Every distance is the float ``euclidean_distance`` gives for the pair, also when
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
@@ -447,12 +448,27 @@ def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
     return UncertainDatabase.from_table(tuple(ids), table)
 
 
+def parse_json(text: Union[str, bytes], what: str):
+    """``json.loads`` of a document, the cyclic garbage collector paused meanwhile.
+
+    The parser's many container allocations set the collector off again and again although
+    a fresh document holds no cycles; its previous state is restored afterwards.  A
+    malformed (or too deeply nested) document raises ``malformed <what> JSON``.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads_database(text: Union[str, bytes]) -> UncertainDatabase:
     """Parse the dataset JSON format; object and instance order is preserved."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
-        raise ValidationError(f"malformed dataset JSON: {exc}") from exc
+    doc = parse_json(text, "dataset")
     if not isinstance(doc, dict) or not isinstance(doc.get("objects"), list):
         raise ValidationError('dataset JSON must be an object with an "objects" array')
     return database_from_dicts(doc["objects"])

@@ -7,6 +7,13 @@ object is a trial that succeeds when it ends up strictly closer than d (ties
 broken by object id).  Probabilistic query predicates (threshold, top-k,
 possibilistic) then filter the per-object probabilities.
 
+Range and rank call the Bernoulli-sum kernel that their ``kernel`` argument names.
+kNN needs only P(at most k-1 closer), the first k entries of each distribution: it
+skips the instances that k surely closer objects shut out and folds the rest, a block
+at a time, through ``bernoulli.truncated_recurrence``.  It calls no kernel, so the kNN
+functions keep their ``kernel`` argument for a uniform signature only, and ``gf`` gives
+``pbr``'s kNN and top-k floats.
+
 Queries may be a fixed :class:`QueryPoint` or the id of a database object;
 an object query is mixed over its own instances and never appears in results.
 
@@ -23,7 +30,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bernoulli import CountDistribution, generating_function, poisson_binomial_recurrence
+from .bernoulli import (
+    CountDistribution,
+    generating_function,
+    poisson_binomial_recurrence,
+    truncated_recurrence,
+)
 from .model import (
     InstanceTable,
     QueryPoint,
@@ -51,7 +63,7 @@ from .worlds import (  # enumerate_worlds is re-exported for the CLI's worlds li
 )
 
 #: Bernoulli-sum kernel signature; the recurrence is the default path and the
-#: generating-function expansion is the drop-in alternative.
+#: generating-function expansion is the drop-in alternative (range and rank).
 Kernel = Callable[[Sequence[float]], CountDistribution]
 
 KERNELS: Dict[str, Kernel] = {"pbr": poisson_binomial_recurrence, "gf": generating_function}
@@ -68,7 +80,8 @@ COMPARISON_DIGITS = 12
 Query = Union[QueryPoint, str]
 
 #: Most (target instance, database instance) pairs compared in one vector pass
-#: of the kNN and rank closer masses; bounds its memory at a few MB.
+#: of the kNN and rank closer masses, and most (object, target instance) masses
+#: one kNN fold holds; bounds their memory at a few MB.
 BLOCK_CELLS = 1 << 18
 
 
@@ -181,43 +194,80 @@ def expected_distance(obj: UncertainObject, q: QueryPoint) -> float:
     )
 
 
+def _closer_block(table: InstanceTable, dist: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Every object's probability of lying closer than each target instance, (objects, targets).
+
+    ``dist`` is every instance's distance from the query.  A competitor instance counts
+    when it is strictly nearer, or equally near and its owner's id precedes the target
+    owner's; absence counts as not closer.  ``np.bincount`` adds each object's instances
+    in order, so every mass is the same float as a sequential loop; instances beyond the
+    farthest target would add only zeros and are left out.  A target's own object reads
+    0.0, a trial that never succeeds.
+    """
+    m, n = len(targets), len(table.first) - 1
+    d = dist[targets, None]
+    near = np.flatnonzero(dist <= d.max())
+    owner, dn = table.owner[near], dist[near]
+    ahead = table.id_rank[owner] < table.id_rank[table.owner[targets]][:, None]
+    closer = (dn < d) | ((dn == d) & ahead)
+    cells = (owner * m + np.arange(m)[:, None]).ravel()
+    weights = np.where(closer, table.prob[near], 0.0).ravel()
+    mass = np.minimum(1.0, np.bincount(cells, weights, minlength=n * m).reshape(n, m))
+    mass[table.owner[targets], np.arange(m)] = 0.0
+    return mass
+
+
+def _block_size(dist: np.ndarray) -> int:
+    """Target instances per closer block: at most ``BLOCK_CELLS`` (target, instance) pairs."""
+    return max(1, BLOCK_CELLS // max(1, len(dist)))
+
+
 def _closer_masses(table: InstanceTable, dist: np.ndarray, j: int):
     """Yield (probability, closer masses) per instance of object j, given every instance's ``dist``.
 
-    The closer masses are every other object's probability of lying closer,
-    in database order.  A competitor instance counts when it is strictly
-    nearer, or equally near and its owner's id precedes the target's;
-    absence counts as not closer.  ``np.bincount`` adds each object's
-    instances in order, so every mass is the same float as a sequential
-    loop.  Target instances go through in blocks of at most ``BLOCK_CELLS``
-    (target instance, database instance) pairs.
+    The closer masses are every other object's probability of lying closer, in
+    database order, as :func:`_closer_block` gives them.
     """
     lo, hi = table.first[j], table.first[j + 1]
-    n = len(table.first) - 1
-    ahead = table.id_rank[table.owner] < table.id_rank[j]
-    step = max(1, BLOCK_CELLS // len(dist))
+    step = _block_size(dist)
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        d = dist[start:stop, None]
-        closer = (dist < d) | ((dist == d) & ahead)
-        cells = (np.arange(stop - start)[:, None] * n + table.owner).ravel()
-        weights = np.where(closer, table.prob, 0.0).ravel()
-        mass = np.bincount(cells, weights=weights, minlength=(stop - start) * n)
-        rows = np.delete(np.minimum(1.0, mass.reshape(stop - start, n)), j, axis=1)
+        rows = np.delete(_closer_block(table, dist, np.arange(start, stop)), j, axis=0).T
         yield from zip(table.prob[start:stop].tolist(), rows)
 
 
-def _knn_probability(masses, k: int, kernel: Kernel) -> float:
-    """kNN probability from an object's closer masses: instance mass times P(at most k-1 closer).
+def _knn_probabilities(
+    table: InstanceTable, dist: np.ndarray, k: int, targets: np.ndarray
+) -> np.ndarray:
+    """Each object's kNN probability, in database order, summed over its instances in ``targets``.
 
-    With k trials certain (exactly 1.0) the kernel's mass below k is exactly
-    zero, so such an instance adds nothing and the kernel is not called.
+    A target instance contributes its probability times P(at most k-1 objects closer), the
+    first min(k, N) entries of the Poisson-binomial row over its closer masses
+    (:func:`~uncertain_spatial.bernoulli.truncated_recurrence`, for a block of targets at
+    once).  Objects whose masses sum to exactly 1.0 are surely closer than any instance
+    beyond their farthest one, so a target strictly farther than the k-th smallest such
+    reach has k trials at exactly 1.0 and contributes exactly 0; it is never scored.  The
+    contributions add per object in table order, then clamp at 1.
     """
-    total = 0.0
-    for p, trials in masses:
-        if np.count_nonzero(trials == 1.0) < k:
-            total += p * kernel(trials).prob_at_most(k - 1)
-    return min(1.0, total)
+    n = len(table.first) - 1
+    full = np.minimum(1.0, np.bincount(table.owner, weights=table.prob, minlength=n))
+    sure = full == 1.0
+    if np.count_nonzero(sure) >= k:
+        reach = np.full(n, -math.inf)
+        np.maximum.at(reach, table.owner, dist)
+        targets = targets[dist[targets] <= np.partition(reach[sure], k - 1)[k - 1]]
+    # nearest targets first, so that a block's competitors are the few instances within reach
+    order = np.argsort(dist[targets], kind="stable")
+    at_most = np.empty(len(targets))
+    fold, step = max(1, BLOCK_CELLS // max(1, n)), _block_size(dist)
+    for start in range(0, len(targets), fold):
+        chunk = targets[order[start : start + fold]]
+        masses = np.empty((n, len(chunk)))
+        for i in range(0, len(chunk), step):
+            masses[:, i : i + step] = _closer_block(table, dist, chunk[i : i + step])
+        at_most[order[start : start + fold]] = truncated_recurrence(masses, min(k, n)).sum(axis=1)
+    weights = table.prob[targets] * at_most
+    return np.minimum(1.0, np.bincount(table.owner[targets], weights, minlength=n))
 
 
 def _mix_over_query(db: UncertainDatabase, q: Query):
@@ -252,16 +302,19 @@ def knn_object_probability(
 
     For every instance u of the object, the number of other objects strictly
     closer than u is a Poisson-binomial count; u contributes
-    ``P(u) * P(at most k-1 closer)``.  The object is looked up by id, so its
-    instances are the database's.
+    ``P(u) * P(at most k-1 closer)``, read from the truncated fold (``kernel``
+    is not called).  The object is looked up by id, so its instances are the
+    database's.
     """
     if k < 1:
         raise ValidationError("k must be a positive integer")
     parts = []
     for w, point, rest in _mix_over_query(db, q):
         j = _target_index(rest, q, o)
-        dist = distance_matrix([point.position], rest.table.positions)[0]
-        parts.append(w * _knn_probability(_closer_masses(rest.table, dist, j), k, kernel))
+        table = rest.table
+        dist = distance_matrix([point.position], table.positions)[0]
+        targets = np.arange(table.first[j], table.first[j + 1])
+        parts.append(w * float(_knn_probabilities(table, dist, k, targets)[j]))
     return min(1.0, math.fsum(parts))
 
 
@@ -289,15 +342,14 @@ def rank_distribution(
 
 
 def _position_probabilities(
-    db: UncertainDatabase, point: QueryPoint, predicate: SpatialPredicate, kernel: Kernel
+    db: UncertainDatabase, point: QueryPoint, predicate: SpatialPredicate
 ) -> List[float]:
     """Each object's probability of satisfying the predicate at a fixed point, in database order."""
     if isinstance(predicate, RangePredicate):
         return _in_range_probabilities(db.table, RangeQuery(point, predicate.epsilon))
     if isinstance(predicate, KnnPredicate):
         dist = distance_matrix([point.position], db.table.positions)[0]
-        masses = (_closer_masses(db.table, dist, j) for j in range(len(db)))
-        return [_knn_probability(m, predicate.k, kernel) for m in masses]
+        return _knn_probabilities(db.table, dist, predicate.k, np.arange(len(dist))).tolist()
     raise ValidationError(f"unsupported spatial predicate {predicate!r}")
 
 
@@ -307,10 +359,14 @@ def object_probabilities(
     predicate: SpatialPredicate,
     kernel: Kernel = poisson_binomial_recurrence,
 ) -> Dict[str, float]:
-    """Per-object probability of satisfying the spatial predicate, for all objects."""
+    """Per-object probability of satisfying the spatial predicate, for all objects.
+
+    Neither predicate calls ``kernel``: in-range probabilities are sums and kNN reads the
+    truncated fold.  The argument keeps the signature of the kernel-taking queries.
+    """
     acc = 0.0
     for w, point, rest in _mix_over_query(db, q):
-        acc = acc + w * np.array(_position_probabilities(rest, point, predicate, kernel))
+        acc = acc + w * np.array(_position_probabilities(rest, point, predicate))
     return dict(zip(rest.object_ids, np.minimum(1.0, acc).tolist()))
 
 
@@ -379,7 +435,7 @@ def answer_range(
     kernel = _kernel(backend)
     acc = mass = 0.0
     for w, point, rest in _mix_over_query(db, q):
-        trials = _position_probabilities(rest, point, predicate, kernel)
+        trials = _position_probabilities(rest, point, predicate)
         acc = acc + w * np.array(trials)
         mass = mass + w * kernel(trials).mass
     return (dict(zip(rest.object_ids, np.minimum(1.0, acc).tolist())),

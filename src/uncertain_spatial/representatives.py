@@ -288,7 +288,8 @@ def cluster_representatives(
     n_samples = int(supports.sum())
     dist = _distance_matrix(pr)
     if len(pr) < 2:
-        return [_make_representative(pr, dist, supports, n_samples, 0, 0.0, alpha)]
+        tau = 0.0 if mode == "complete" else float(tau_max)
+        return [_make_representative(pr, dist, supports, n_samples, 0, tau, alpha)]
     w = supports.astype(float)
     medoids, labels = _choose_clustering(dist, w) if k is None else pam_kmedoids(dist, w, k)
 

@@ -31,7 +31,6 @@ decimal ``per_timestamp`` keys, and ids are strings.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +38,6 @@ from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Uni
 
 import numpy as np
 
-from .bernoulli import poisson_binomial_recurrence
 from .model import (
     PROB_TOL,
     CapExceededError,
@@ -48,9 +46,10 @@ from .model import (
     ValidationError,
     distance_matrix,
     json_xyp,
+    parse_json,
 )
 from .predicates import KnnPredicate
-from .queries import _closer_masses, _knn_probability, _mix_over_query
+from .queries import _closer_masses, _knn_probabilities, _mix_over_query
 from .sampling import _branches, _sampled_members, _substreams, _uniforms
 
 #: Default cap on lattice candidates validated.
@@ -181,10 +180,7 @@ def _parse_trajectory(record) -> UncertainTrajectory:
 
 def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
     """Parse the trajectory dataset JSON format."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
-        raise ValidationError(f"malformed trajectory JSON: {exc}") from exc
+    doc = parse_json(text, "trajectory")
     try:
         timestamps = doc["timestamps"]
         query_rec = doc["query"]
@@ -213,7 +209,7 @@ class ExactTrajectoryBackend:
     At one timestamp the trajectories are x-tuples of a spatial database and the
     query is an object of it, mixed over its alternatives, so an object's win is
     its kNN probability with k = 1, from ``queries``' closer masses, tie rule and
-    kernel.  Win events at distinct timestamps involve disjoint independent draws,
+    truncated fold.  Win events at distinct timestamps involve disjoint independent draws,
     so the all-timestamps probability is the product of per-timestamp wins; the
     per-timestamp values are cached across the whole lattice run.  When no closer
     mass m of any (query alternative, object alternative) pair moves ``1.0 - m``
@@ -243,12 +239,16 @@ class ExactTrajectoryBackend:
             return self._win_cache[key]
         rest, mix = self._mix(t)
         j = rest.index(object_id)
-        parts, sure = [], True
-        for w, dist in mix:
-            masses = list(_closer_masses(rest.table, dist, j))
-            sure = sure and all((1.0 - m == 1.0).all() for _, m in masses)
-            parts.append(w * _knn_probability(masses, 1, poisson_binomial_recurrence))
-        win = 1.0 if sure else min(1.0, math.fsum(parts))
+        table = rest.table
+        sure = all(
+            (1.0 - m == 1.0).all() for _, dist in mix for _, m in _closer_masses(table, dist, j)
+        )
+        if sure:
+            win = 1.0
+        else:
+            targets = np.arange(table.first[j], table.first[j + 1])
+            parts = [w * float(_knn_probabilities(table, dist, 1, targets)[j]) for w, dist in mix]
+            win = min(1.0, math.fsum(parts))
         self._win_cache[key] = win
         return win
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,17 @@ from uncertain_spatial import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # On CI every falsifying example also prints its ``@reproduce_failure`` blob, so a rare
+    # counterexample found there can be replayed locally.
+    settings.register_profile("ci", print_blob=True)
+    if os.environ.get("CI"):
+        settings.load_profile("ci")
 
 
 def fixture_db(name: str) -> UncertainDatabase:

@@ -9,6 +9,8 @@ from uncertain_spatial import (
     generating_function,
     poisson_binomial_recurrence,
 )
+from uncertain_spatial import bernoulli
+from uncertain_spatial.bernoulli import truncated_recurrence
 
 from conftest import brute_force_bernoulli_pmf
 
@@ -91,6 +93,41 @@ class TestProperties:
                 poisson_binomial_recurrence(shuffled).mass,
                 atol=1e-12,
             )
+
+
+class TestTruncatedRecurrence:
+    def test_rows_are_the_leading_recurrence_entries(self):
+        """Each column folds to the recurrence's first entries bit for bit, zero and certain
+        trials anywhere among them."""
+        rng = np.random.default_rng(46)
+        for _ in range(100):
+            n = int(rng.integers(0, 20))
+            trials = rng.random((n, 5))
+            trials[rng.random((n, 5)) < 0.2] = 0.0
+            trials[rng.random((n, 5)) < 0.2] = 1.0
+            for width in range(1, n + 2):
+                rows = truncated_recurrence(trials, width)
+                assert rows.shape == (5, width) and rows.flags.c_contiguous
+                for i in range(5):
+                    mass = poisson_binomial_recurrence(trials[:, i]).mass
+                    assert np.array_equal(rows[i], mass[:width])
+
+    def test_mass_past_the_width_is_carried(self):
+        """Width 1 keeps P(no success); the 0.73 beyond it is the tail."""
+        rows = truncated_recurrence(np.array([[0.7], [0.1]]), 1)
+        assert rows.tolist() == [[(1.0 - 0.7) * (1.0 - 0.1)]]
+
+    def test_normalization_checked_against_the_tolerance(self, monkeypatch):
+        """The two entries of [0.7, 0.1] plus the tail miss 1 by round-off."""
+        truncated_recurrence(np.array([[0.7], [0.1]]), 2)
+        monkeypatch.setattr(bernoulli, "PROB_TOL", 0.0)
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            truncated_recurrence(np.array([[0.7], [0.1]]), 2)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_invalid_probability_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            truncated_recurrence(np.array([[0.5, bad]]), 1)
 
 
 class TestCountDistribution:

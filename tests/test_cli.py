@@ -393,6 +393,21 @@ class TestRepsCommand:
         assert out == ""
         assert json.loads(err) == {"error": f"cluster count must be within 1..{m}"}
 
+    @pytest.mark.parametrize("case", [ONE_RESULT, MANY_RESULTS], ids=["one", "many"])
+    def test_tau_max_mode_reports_the_radius(self, case, capsys):
+        """Every representative of tau_max mode reports the given radius, also when a
+        single sampled result covers every sample."""
+        dataset, x, y, nn = case
+        code, out, _ = run_cli(
+            ["reps", "--dataset", str(FIXTURES / dataset), "--query-x", x, "--query-y", y,
+             "--nn", nn, "--samples", "50", "--method", "cluster", "--cluster-mode", "taumax",
+             "--tau-max", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        reps = json.loads(out)["representatives"]
+        assert reps and all(rep["tau"] == 0.5 for rep in reps)
+
 
 class TestPcnnCommand:
     def test_exact_fixture(self, capsys):

@@ -1,5 +1,6 @@
 """Dataset model: validation, serialization round-trips, distance metric."""
 
+import gc
 import json
 import math
 
@@ -15,7 +16,7 @@ from uncertain_spatial import (
     loads_database,
 )
 
-from uncertain_spatial.model import PROB_TOL, InstanceTable, distance_matrix
+from uncertain_spatial.model import PROB_TOL, InstanceTable, distance_matrix, parse_json
 
 from conftest import make_object, random_db
 
@@ -80,6 +81,27 @@ class TestLoading:
     def test_empty_instances_rejected(self):
         with pytest.raises(ValidationError):
             loads_database('{"objects":[{"id":"E","instances":[]}]}')
+
+
+class TestParseJson:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_while_parsing_and_restored(self, enabled, monkeypatch):
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert parse_json('{"objects": []}', "dataset") == {"objects": []}
+            with pytest.raises(ValidationError, match="^malformed dataset JSON: Expecting"):
+                parse_json("{", "dataset")
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [False, False]
+
+    def test_too_deep_nesting_is_malformed(self):
+        with pytest.raises(ValidationError, match="^malformed config JSON: "):
+            parse_json("[" * 100000, "config")
 
 
 class TestSerialization:

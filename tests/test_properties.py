@@ -1,7 +1,8 @@
 """Property tests: the sampled estimators against brute force over the same sampled worlds,
 the Poisson-binomial kernels against the exact oracle, range from the instance table against
 the object-by-object path, the kernels and the instance-table kNN and rank paths against
-loops that visit every trial and instance one at a time, the
+loops that visit every trial and instance one at a time, the truncated kNN fold against the
+per-instance kernel path it replaced, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
 exact trajectory backend against the kNN engine and the oracle, and PAM, the weighted silhouette
@@ -138,7 +139,7 @@ def test_kernels_match_the_oracle(case):
 
 def _reference_range(db, q, epsilon, kernel):
     """Range object by object: ``in_range_probability``'s fsum per object, the query
-    object's instances mixed in turn over the other objects."""
+    object's instances mixed in turn over the other objects, the mixes clamped at 1."""
     if isinstance(q, str):
         rest = UncertainDatabase(tuple(o for o in db.objects if o.id != q))
         positions = [(inst.prob, inst.position, rest) for inst in db[q].instances]
@@ -156,7 +157,7 @@ def _reference_range(db, q, epsilon, kernel):
         for obj, p in zip(rest.objects, trials):
             probs[obj.id] = probs.get(obj.id, 0.0) + w * p
         mass = mass + w * kernel(trials).mass
-    return probs, CountDistribution(mass)
+    return {oid: min(1.0, p) for oid, p in probs.items()}, CountDistribution(np.minimum(1.0, mass))
 
 
 @st.composite
@@ -315,6 +316,91 @@ def test_distance_table_matches_the_scalar_reference(case):
             assert np.array_equal(
                 rank_distribution(db, q, oid, kernel).mass, _reference_rank(db, q, oid, every_trial)
             )
+
+
+def _closer_masses_one_at_a_time(table, dist, j):
+    """The engine before the truncated fold: each instance of object j, its probability and
+    every other object's closer mass, the target's own column deleted."""
+    n = len(table.first) - 1
+    ahead = table.id_rank[table.owner] < table.id_rank[j]
+    for i in range(table.first[j], table.first[j + 1]):
+        closer = (dist < dist[i]) | ((dist == dist[i]) & ahead)
+        mass = np.bincount(table.owner, weights=np.where(closer, table.prob, 0.0), minlength=n)
+        yield float(table.prob[i]), np.delete(np.minimum(1.0, mass), j)
+
+
+def _knn_probability_by_kernel(masses, k, kernel):
+    """The engine before the truncated fold: a full kernel row per instance, skipped when
+    k trials are certain."""
+    total = 0.0
+    for p, trials in masses:
+        if np.count_nonzero(trials == 1.0) < k:
+            total += p * kernel(trials).prob_at_most(k - 1)
+    return min(1.0, total)
+
+
+def _kernel_path(db, q, k, kernel):
+    """Per object, ``object_probabilities`` and ``knn_object_probability`` as the per-instance
+    kernel path computed them."""
+    acc, parts = 0.0, {}
+    for w, point, rest in _positions(db, q):
+        dist = distance_matrix([point.position], rest.table.positions)[0]
+        probs = [
+            _knn_probability_by_kernel(_closer_masses_one_at_a_time(rest.table, dist, j), k, kernel)
+            for j in range(len(rest))
+        ]
+        acc = acc + w * np.array(probs)
+        for oid, p in zip(rest.object_ids, probs):
+            parts.setdefault(oid, []).append(w * p)
+    one = {oid: min(1.0, math.fsum(ps)) for oid, ps in parts.items()}
+    return dict(zip(rest.object_ids, np.minimum(1.0, acc).tolist())), one
+
+
+@st.composite
+def near_one_cases(draw):
+    """(db, query, k): up to nine objects on the grid whose masses sum to exactly 1, to 1 plus
+    or minus round-off, to 1 - 1e-12 (certain within the tolerance) or to less; a grid point
+    or a certain object; k anywhere in 1..N+2."""
+    objects = []
+    for i in range(draw(st.integers(1, 9))):
+        m = draw(st.integers(1, 3))
+        weights = draw(st.lists(st.integers(1, 7), min_size=m, max_size=m))
+        total = sum(weights) + draw(st.sampled_from((0, 0, 0, 1, 3)))
+        probs = [w / total for w in weights]
+        probs[-1] -= draw(st.sampled_from((0.0, 0.0, 1e-12)))
+        objects.append(make_object(f"O{i}", [(draw(GRID), draw(GRID), p) for p in probs]))
+    db = UncertainDatabase(tuple(objects))
+    certain = [o.id for o in db.objects if not o.is_existentially_uncertain]
+    if certain and len(db) > 1 and draw(st.booleans()):
+        q = draw(st.sampled_from(certain))
+    else:
+        q = QueryPoint(float(draw(GRID)), float(draw(GRID)))
+    return db, q, draw(st.integers(1, len(db) - isinstance(q, str) + 2))
+
+
+#: Six objects and k = 8: the fold stops at six entries, because numpy adds eight or more
+#: floats pairwise, and two padding zeros would move the last bit of the sum.
+WIDTH_CASE = (
+    UncertainDatabase(tuple(
+        make_object(f"O{i}", [(2, y, p)])
+        for i, (y, p) in enumerate([(2, 2 / 3), (1, 1.0), (1, 1.0), (0, 0.7), (3, 0.8), (4, 1.0)])
+    )),
+    QueryPoint(0.0, 2.0),
+    8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_one_cases())
+@example(WIDTH_CASE)
+def test_truncated_fold_matches_the_kernel_path(case):
+    """All-object and one-object kNN probabilities from the pruned, truncated fold equal the
+    per-instance kernel path bit for bit, under either kernel argument."""
+    db, q, k = case
+    for kernel in (poisson_binomial_recurrence, generating_function):
+        every, one = _kernel_path(db, q, k, kernel)
+        assert object_probabilities(db, q, KnnPredicate(k), kernel) == every
+        assert {oid: knn_object_probability(db, q, k, oid, kernel) for oid in one} == one
 
 
 @st.composite

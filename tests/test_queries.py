@@ -235,7 +235,9 @@ class TestKnnObjectProbability:
         with pytest.raises(ValidationError, match="'Q' is the query object"):
             knn_object_probability(consensus_db, "Q", 1, "Q")
 
-    def test_kernel_skipped_when_k_objects_are_certainly_closer(self):
+    def test_zero_exactly_when_k_objects_are_certainly_closer(self):
+        """C scores exactly 0.0 with two objects surely closer than both its instances and
+        exactly 1.0 with three slots; the kNN engine calls no kernel on the way."""
         db = UncertainDatabase(
             (
                 make_object("A", [(1, 0, 1.0)]),
@@ -243,16 +245,15 @@ class TestKnnObjectProbability:
                 make_object("C", [(3, 0, 0.5), (0, 5, 0.5)]),
             )
         )
-        calls = []
 
         def kernel(trials):
-            calls.append(list(trials))
-            return poisson_binomial_recurrence(trials)
+            raise AssertionError("the kNN engine called a kernel")
 
         assert knn_object_probability(db, Q0, 2, "C", kernel) == 0.0
-        assert calls == []
         assert knn_object_probability(db, Q0, 3, "C", kernel) == 1.0
-        assert calls == [[1.0, 1.0], [1.0, 1.0]]
+        assert object_probabilities(db, Q0, KnnPredicate(2), kernel) == {
+            "A": 1.0, "B": 1.0, "C": 0.0
+        }
 
     def test_equal_distances_break_by_object_id(self):
         """Two instances at identical distance rank by id, kernel and oracle alike."""
@@ -266,6 +267,28 @@ class TestKnnObjectProbability:
         assert oracle == {"A": 0.5, "B": 0.5}
         assert knn_object_probability(db, Q0, 1, "A") == pytest.approx(0.5, abs=1e-12)
         assert knn_object_probability(db, Q0, 1, "B") == pytest.approx(0.5, abs=1e-12)
+
+
+class TestKnnBackends:
+    def test_gf_and_pbr_name_one_truncated_fold(self):
+        """kNN and top-k read the truncated recurrence whatever the kernel argument, so
+        ``--backend gf`` answers them with ``pbr``'s floats; the generating function stays
+        the independent kernel of rank and range."""
+        db = fixture_db("clustered_demo.json")
+        q = QueryPoint(600.0, 450.0)
+
+        def kernel(trials):
+            raise AssertionError("the kNN engine called a kernel")
+
+        for k in (1, 5, 10):
+            pbr = answer_objects(db, q, KnnPredicate(k), "pbr")
+            assert answer_objects(db, q, KnnPredicate(k), "gf") == pbr
+            assert object_probabilities(db, q, KnnPredicate(k), kernel) == pbr
+            assert answer_objects(db, "o00032", KnnPredicate(k), "gf") == answer_objects(
+                db, "o00032", KnnPredicate(k), "pbr"
+            )
+        with pytest.raises(AssertionError, match="called a kernel"):
+            rank_distribution(db, q, "o00070", kernel)
 
 
 class TestRankDistribution:
