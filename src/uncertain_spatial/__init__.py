@@ -19,7 +19,6 @@ from .model import (
     UncertainObject,
     UncertainSpatialError,
     ValidationError,
-    dumps_database,
     euclidean_distance,
     load_database,
     loads_database,
@@ -28,14 +27,11 @@ from .predicates import KnnPredicate, RangePredicate
 from .queries import (
     ProbabilisticPredicate,
     RangeQuery,
-    expected_distance,
     in_range_probability,
     knn_object_probability,
     object_probabilities,
     range_count_distribution,
     rank_distribution,
-    threshold_query,
-    topk_predicate,
 )
 from .representatives import (
     alpha_confidence,
@@ -47,7 +43,6 @@ from .representatives import (
 )
 from .sampling import (
     PossibleResult,
-    estimate_count_distribution,
     estimate_object_probabilities,
     estimate_result_probabilities,
     sample_worlds,
@@ -62,7 +57,6 @@ from .trajectories import (
     maximal_timestamp_sets,
     pc_tau_nn,
     pcnn_query,
-    pfann_probability,
 )
 from .worlds import (
     ResultSet,

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -33,8 +34,6 @@ from .model import (
 from .predicates import KnnPredicate, RangePredicate
 from .queries import (
     BACKENDS,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     ProbabilisticPredicate,
     answer_objects,
     answer_range,
@@ -44,6 +43,7 @@ from .queries import (
     sampled_results,
 )
 from .representatives import cluster_representatives, max_cover_representatives
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED
 from .trajectories import answer_pcnn, load_trajectory_dataset
 
 
@@ -101,7 +101,13 @@ def _flat_numbers(values) -> Optional[List[str]]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors follow the CLI error contract."""
+    """Argument parser whose usage errors follow the CLI error contract, and that reads a
+    negative number in exponent form (``-1e3``, as ``dumps_canonical`` may write it) as a
+    flag value, where argparse alone would take it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise ValidationError(message)

@@ -10,7 +10,7 @@ A database is stored as its instance table (``UncertainDatabase.table``): the on
 flat-array form of its instances, which the loader fills straight from the parsed
 records and every query path reads.  ``Instance`` and ``UncertainObject`` values are
 views built from the table on demand, one object at a time, for the callers that want
-them (the possible-worlds oracle, ``expected_distance``, a query object, the tests).
+them (the possible-worlds oracle, a query object, the tests).
 A trajectory dataset keeps one such table per timestamp.
 Every distance is the float ``euclidean_distance`` gives for the pair, also when
 ``distance_matrix`` computes many at once, so distance ties fall alike on every path.
@@ -479,24 +479,3 @@ def load_database(source: Union[str, bytes, IO]) -> UncertainDatabase:
     if hasattr(source, "read"):
         source = source.read()
     return loads_database(source)
-
-
-def dumps_database(db: UncertainDatabase) -> str:
-    """Canonical serialization of a database.
-
-    Floats are emitted with full round-trip precision so that reloading an
-    emitted database reproduces it bit-identically.
-    """
-    doc = {
-        "objects": [
-            {
-                "id": obj.id,
-                "instances": [
-                    {"x": inst.position[0], "y": inst.position[1], "p": inst.prob}
-                    for inst in obj.instances
-                ],
-            }
-            for obj in db.objects
-        ]
-    }
-    return json.dumps(doc, separators=(",", ":"))

@@ -7,15 +7,16 @@ object is a trial that succeeds when it ends up strictly closer than d (ties
 broken by object id).  Probabilistic query predicates (threshold, top-k,
 possibilistic) then filter the per-object probabilities.
 
-Range and rank call the Bernoulli-sum kernel that their ``kernel`` argument names.
-kNN needs only P(at most k-1 closer), the first k entries of each distribution: it
-skips the instances that k surely closer objects shut out and folds the rest, a block
-at a time, through ``bernoulli.truncated_recurrence``.  It calls no kernel, so the kNN
-functions keep their ``kernel`` argument for a uniform signature only, and ``gf`` gives
-``pbr``'s kNN and top-k floats.
+Range counts and rank call the Bernoulli-sum kernel that their ``kernel`` argument
+names.  kNN needs only P(at most k-1 closer), the first k entries of each distribution:
+it skips the instances that k surely closer objects shut out and folds the rest, a block
+at a time, through ``bernoulli.truncated_recurrence``.  It calls no kernel, so ``gf``
+gives ``pbr``'s kNN and top-k floats; ``object_probabilities`` keeps its ``kernel``
+argument for the callers that pass one.
 
 Queries may be a fixed :class:`QueryPoint` or the id of a database object;
 an object query is mixed over its own instances and never appears in results.
+``_query_points`` is the one place that resolves a query into those alternatives.
 
 The ``answer_*`` functions are the one place that picks a backend by name:
 ``pbr`` and ``gf`` are the two Bernoulli-sum kernels, ``exact`` is the
@@ -48,6 +49,8 @@ from .model import (
 )
 from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
 from .sampling import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     PossibleResult,
     estimate_object_probabilities,
     estimate_range,
@@ -68,10 +71,6 @@ Kernel = Callable[[Sequence[float]], CountDistribution]
 
 KERNELS: Dict[str, Kernel] = {"pbr": poisson_binomial_recurrence, "gf": generating_function}
 BACKENDS = ("pbr", "gf", "exact", "sampled")
-
-#: World count and seed of the ``sampled`` backend unless a caller sets them.
-DEFAULT_SAMPLES = 10000
-DEFAULT_SEED = 42
 
 #: Probabilities are rounded to this many decimal digits before predicate
 #: comparisons, so threshold and tie decisions are stable across kernels.
@@ -156,9 +155,17 @@ def _in_range_probabilities(table: InstanceTable, rq: RangeQuery) -> List[float]
 
     One distance row and an in-range mask give the answer: an object with no instance
     in range gets 0.0, one with a single instance in range its probability, and only
-    objects with two or more are summed by ``math.fsum``.
+    objects with two or more are summed by ``math.fsum``.  The row is ``np.hypot``'s, which
+    may round one ulp away from ``euclidean_distance``; rows within 4 ulps of epsilon, where
+    the two could fall on opposite sides, are recomputed by ``math.hypot``.
     """
-    inside = distance_matrix([rq.center.position], table.positions)[0] <= rq.epsilon
+    (cx, cy), eps = rq.center.position, rq.epsilon
+    dx, dy = cx - table.positions[:, 0], cy - table.positions[:, 1]
+    with np.errstate(over="ignore"):  # math.hypot overflows to inf silently too
+        dist = np.hypot(dx, dy)
+    edge = np.flatnonzero(np.abs(dist - eps) <= 4 * np.spacing(eps))
+    dist[edge] = list(map(math.hypot, dx[edge].tolist(), dy[edge].tolist()))
+    inside = dist <= eps
     owner, prob = table.owner[inside], table.prob[inside]
     hits = np.bincount(owner, minlength=len(table.first) - 1)
     total = np.zeros(len(hits))
@@ -184,14 +191,6 @@ def range_count_distribution(
     count is Poisson-binomial.
     """
     return kernel(_in_range_probabilities(db.table, rq))
-
-
-def expected_distance(obj: UncertainObject, q: QueryPoint) -> float:
-    """Probability-weighted distance sum; not renormalized under existential uncertainty."""
-    return math.fsum(
-        inst.prob * euclidean_distance(q.position, inst.position)
-        for inst in obj.instances
-    )
 
 
 def _closer_block(table: InstanceTable, dist: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -220,20 +219,6 @@ def _closer_block(table: InstanceTable, dist: np.ndarray, targets: np.ndarray) -
 def _block_size(dist: np.ndarray) -> int:
     """Target instances per closer block: at most ``BLOCK_CELLS`` (target, instance) pairs."""
     return max(1, BLOCK_CELLS // max(1, len(dist)))
-
-
-def _closer_masses(table: InstanceTable, dist: np.ndarray, j: int):
-    """Yield (probability, closer masses) per instance of object j, given every instance's ``dist``.
-
-    The closer masses are every other object's probability of lying closer, in
-    database order, as :func:`_closer_block` gives them.
-    """
-    lo, hi = table.first[j], table.first[j + 1]
-    step = _block_size(dist)
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        rows = np.delete(_closer_block(table, dist, np.arange(start, stop)), j, axis=0).T
-        yield from zip(table.prob[start:stop].tolist(), rows)
 
 
 def _knn_probabilities(
@@ -270,20 +255,25 @@ def _knn_probabilities(
     return np.minimum(1.0, np.bincount(table.owner[targets], weights, minlength=n))
 
 
-def _mix_over_query(db: UncertainDatabase, q: Query):
-    """Yield (weight, fixed query point, database without the query object); a point weighs 1."""
+def _query_points(db: UncertainDatabase, q: Query):
+    """The database without the query object, and per query alternative its weight and
+    position; a point query is one alternative of weight 1."""
     qobj = resolve_query(db, q)
     if qobj is None:
-        yield 1.0, q, db
-        return
-    rest = db.without(q)
-    for inst in qobj.instances:
-        yield inst.prob, QueryPoint(*inst.position), rest
+        return db, [(1.0, q)]
+    return db.without(q), [(inst.prob, QueryPoint(*inst.position)) for inst in qobj.instances]
 
 
-def _target_index(db: UncertainDatabase, q: Query, o: Union[UncertainObject, str]) -> int:
+def _query_mix(db: UncertainDatabase, q: Query):
+    """The database without the query object, and per query alternative its weight and its
+    distance to every instance of that database."""
+    rest, points = _query_points(db, q)
+    dist = distance_matrix([point.position for _, point in points], rest.table.positions)
+    return rest, [(w, row) for (w, _), row in zip(points, dist)]
+
+
+def _target_index(db: UncertainDatabase, q: Query, oid: str) -> int:
     """Database position of the object to score; ``KeyError`` when it is not in the database."""
-    oid = o if isinstance(o, str) else o.id
     if oid == q:
         raise ValidationError(
             f"object {oid!r} is the query object; it is not ranked against itself"
@@ -291,52 +281,53 @@ def _target_index(db: UncertainDatabase, q: Query, o: Union[UncertainObject, str
     return db.index(oid)
 
 
-def knn_object_probability(
-    db: UncertainDatabase,
-    q: Query,
-    k: int,
-    o: Union[UncertainObject, str],
-    kernel: Kernel = poisson_binomial_recurrence,
-) -> float:
+def _object_knn(table: InstanceTable, mix, k: int, j: int) -> float:
+    """Object j's kNN probability over the query alternatives ``mix``, as ``_query_mix``
+    gives them: the weighted parts add by ``math.fsum``, then clamp at 1."""
+    targets = np.arange(table.first[j], table.first[j + 1])
+    parts = (w * _knn_probabilities(table, dist, k, targets)[j] for w, dist in mix)
+    return min(1.0, math.fsum(parts))
+
+
+def knn_object_probability(db: UncertainDatabase, q: Query, k: int, oid: str) -> float:
     """Probability that the object belongs to the k-nearest-neighbor result.
 
     For every instance u of the object, the number of other objects strictly
     closer than u is a Poisson-binomial count; u contributes
-    ``P(u) * P(at most k-1 closer)``, read from the truncated fold (``kernel``
-    is not called).  The object is looked up by id, so its instances are the
-    database's.
+    ``P(u) * P(at most k-1 closer)``, read from the truncated fold.
     """
     if k < 1:
         raise ValidationError("k must be a positive integer")
-    parts = []
-    for w, point, rest in _mix_over_query(db, q):
-        j = _target_index(rest, q, o)
-        table = rest.table
-        dist = distance_matrix([point.position], table.positions)[0]
-        targets = np.arange(table.first[j], table.first[j + 1])
-        parts.append(w * float(_knn_probabilities(table, dist, k, targets)[j]))
-    return min(1.0, math.fsum(parts))
+    rest, mix = _query_mix(db, q)
+    return _object_knn(rest.table, mix, k, _target_index(rest, q, oid))
 
 
 def rank_distribution(
     db: UncertainDatabase,
     q: Query,
-    o: Union[UncertainObject, str],
+    oid: str,
     kernel: Kernel = poisson_binomial_recurrence,
 ) -> CountDistribution:
     """Distribution over the object's rank 1..N by distance from the query.
 
     ``mass[j-1]`` is the probability of rank j (exactly j-1 objects closer).
     Worlds where the object does not exist carry no rank, so the mass sums to
-    the object's existence probability.
+    the object's existence probability.  Each instance's closer masses, the
+    object's own trial left out, go through ``kernel`` once.
     """
+    rest, mix = _query_mix(db, q)
+    j = _target_index(rest, q, oid)
+    table = rest.table
+    lo, hi = table.first[j], table.first[j + 1]
     mass = 0.0
-    for w, point, rest in _mix_over_query(db, q):
-        j = _target_index(rest, q, o)
+    for w, dist in mix:
         part = np.zeros(len(rest))
-        dist = distance_matrix([point.position], rest.table.positions)[0]
-        for p, trials in _closer_masses(rest.table, dist, j):
-            part += p * kernel(trials).mass
+        step = _block_size(dist)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            rows = np.delete(_closer_block(table, dist, np.arange(start, stop)), j, axis=0).T
+            for p, trials in zip(table.prob[start:stop].tolist(), rows):
+                part += p * kernel(trials).mass
         mass = mass + w * part
     return CountDistribution(np.minimum(1.0, mass))
 
@@ -364,36 +355,11 @@ def object_probabilities(
     Neither predicate calls ``kernel``: in-range probabilities are sums and kNN reads the
     truncated fold.  The argument keeps the signature of the kernel-taking queries.
     """
+    rest, points = _query_points(db, q)
     acc = 0.0
-    for w, point, rest in _mix_over_query(db, q):
+    for w, point in points:
         acc = acc + w * np.array(_position_probabilities(rest, point, predicate))
     return dict(zip(rest.object_ids, np.minimum(1.0, acc).tolist()))
-
-
-def threshold_query(
-    db: UncertainDatabase,
-    q: Query,
-    predicate: SpatialPredicate,
-    tau: float,
-    kernel: Kernel = poisson_binomial_recurrence,
-) -> ResultSet:
-    """Objects whose result probability is at least tau (tau = 0 is possibilistic)."""
-    probs = object_probabilities(db, q, predicate, kernel)
-    return ProbabilisticPredicate(kind="threshold", tau=tau).select(probs)
-
-
-def topk_predicate(
-    db: UncertainDatabase,
-    q: Query,
-    predicate: SpatialPredicate,
-    k: int,
-    kernel: Kernel = poisson_binomial_recurrence,
-) -> ResultSet:
-    """The k objects most likely to satisfy the predicate, boundary ties included."""
-    probs = object_probabilities(db, q, predicate, kernel)
-    if not 1 <= k <= len(probs):
-        raise ValidationError(f"k must be within 1..{len(probs)}")
-    return ProbabilisticPredicate(kind="topk", k=k).select(probs)
 
 
 def _kernel(backend: str) -> Kernel:
@@ -433,8 +399,9 @@ def answer_range(
     if backend == "sampled":
         return estimate_range(sample_worlds(db, samples, seed), q, epsilon)
     kernel = _kernel(backend)
+    rest, points = _query_points(db, q)
     acc = mass = 0.0
-    for w, point, rest in _mix_over_query(db, q):
+    for w, point in points:
         trials = _position_probabilities(rest, point, predicate)
         acc = acc + w * np.array(trials)
         mass = mass + w * kernel(trials).mass
@@ -478,7 +445,7 @@ def answer_results(
 
 
 def answer_rank(
-    db: UncertainDatabase, q: Query, o: Union[UncertainObject, str], backend: str = "pbr"
+    db: UncertainDatabase, q: Query, oid: str, backend: str = "pbr"
 ) -> CountDistribution:
     """Rank distribution of one object through the named kernel (``pbr`` or ``gf``)."""
-    return rank_distribution(db, q, o, _kernel(backend))
+    return rank_distribution(db, q, oid, _kernel(backend))

@@ -33,6 +33,10 @@ from .model import (
 from .predicates import KnnPredicate, RangePredicate, SpatialPredicate
 from .worlds import PossibleWorld, ResultSet
 
+#: World count and seed of a sampled query unless a caller sets them.
+DEFAULT_SAMPLES = 10000
+DEFAULT_SEED = 42
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _GAMMA_U = np.uint64(_GAMMA)
@@ -122,7 +126,7 @@ class PossibleResult:
     support: int
 
 
-def sample_worlds(db: UncertainDatabase, n: int, seed: int = 42) -> SampleSet:
+def sample_worlds(db: UncertainDatabase, n: int, seed: int = DEFAULT_SEED) -> SampleSet:
     """Draw n independent worlds; identical (db, n-prefix, seed) gives identical samples."""
     if n < 1:
         raise ValidationError("sample count must be at least 1")
@@ -220,11 +224,6 @@ def _frequencies(member: np.ndarray, ids: List[str]) -> Dict[str, float]:
     return {oid: float(f) for oid, f in zip(ids, member.mean(axis=0))}
 
 
-def _counts(member: np.ndarray) -> CountDistribution:
-    mass = np.bincount(member.sum(axis=1), minlength=member.shape[1] + 1).astype(float)
-    return CountDistribution(mass / len(member))
-
-
 def estimate_object_probabilities(
     X: SampleSet, q: Union[QueryPoint, str], predicate: SpatialPredicate
 ) -> Dict[str, float]:
@@ -232,17 +231,11 @@ def estimate_object_probabilities(
     return _frequencies(*_membership_matrix(X, q, predicate))
 
 
-def estimate_count_distribution(
-    X: SampleSet, q: Union[QueryPoint, str], epsilon: float
-) -> CountDistribution:
-    """Empirical distribution of the in-range count across samples (a query object never counts)."""
-    member, _ = _membership_matrix(X, q, RangePredicate(epsilon))
-    return _counts(member)
-
-
 def estimate_range(
     X: SampleSet, q: Union[QueryPoint, str], epsilon: float
 ) -> "tuple[Dict[str, float], CountDistribution]":
-    """Per-object in-range frequencies and the in-range count distribution, from one pass."""
+    """Per-object in-range frequencies and the empirical distribution of the in-range count
+    (a query object never counts), from one pass."""
     member, ids = _membership_matrix(X, q, RangePredicate(epsilon))
-    return _frequencies(member, ids), _counts(member)
+    mass = np.bincount(member.sum(axis=1), minlength=member.shape[1] + 1).astype(float)
+    return _frequencies(member, ids), CountDistribution(mass / len(member))

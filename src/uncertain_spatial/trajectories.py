@@ -16,14 +16,14 @@ Each timestamp is a set of x-tuples, as in a spatial database: a dataset keeps
 one instance table per timestamp (the query as row 0), and both probability
 backends read only those tables.  The exact backend reads each timestamp as a
 spatial database queried by the query trajectory's alternatives, so an object's
-win there is its 1-NN probability from the spatial kNN engine (its closer
-masses, tie rule and kernel); wins multiply across timestamps, which is exact
-under the independence model.  The sampled backend shares one fixed sample set
-across the whole lattice, so estimated probabilities are anti-monotone by
-construction.  It draws and ranks each timestamp through the
-sampling module's 1-NN membership core, the one the spatial estimators use, so
-only objects that can be nearest are drawn.  ``answer_pcnn`` is the one entry
-point over both.
+win there is its 1-NN probability from the spatial kNN engine's one per-object
+kNN function (its closer masses, tie rule and truncated fold); wins multiply
+across timestamps, which is exact under the independence model.  The sampled
+backend shares one fixed sample set across the whole lattice, so estimated
+probabilities are anti-monotone by construction.  It draws and ranks each
+timestamp through the sampling module's 1-NN membership core, the one the
+spatial estimators use, so only objects that can be nearest are drawn.
+``answer_pcnn`` is the one entry point over both.
 
 In the JSON format, timestamps are distinct integers, written as canonical
 decimal ``per_timestamp`` keys, and ids are strings.
@@ -44,13 +44,19 @@ from .model import (
     InstanceTable,
     UncertainDatabase,
     ValidationError,
-    distance_matrix,
     json_xyp,
     parse_json,
 )
 from .predicates import KnnPredicate
-from .queries import _closer_masses, _knn_probabilities, _mix_over_query
-from .sampling import _branches, _sampled_members, _substreams, _uniforms
+from .queries import _closer_block, _object_knn, _query_mix
+from .sampling import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    _branches,
+    _sampled_members,
+    _substreams,
+    _uniforms,
+)
 
 #: Default cap on lattice candidates validated.
 DEFAULT_LATTICE_CAP = 10**6
@@ -208,8 +214,8 @@ class ExactTrajectoryBackend:
 
     At one timestamp the trajectories are x-tuples of a spatial database and the
     query is an object of it, mixed over its alternatives, so an object's win is
-    its kNN probability with k = 1, from ``queries``' closer masses, tie rule and
-    truncated fold.  Win events at distinct timestamps involve disjoint independent draws,
+    its kNN probability with k = 1, from ``queries``' one per-object kNN function.
+    Win events at distinct timestamps involve disjoint independent draws,
     so the all-timestamps probability is the product of per-timestamp wins; the
     per-timestamp values are cached across the whole lattice run.  When no closer
     mass m of any (query alternative, object alternative) pair moves ``1.0 - m``
@@ -222,33 +228,22 @@ class ExactTrajectoryBackend:
         self._win_cache: Dict[Tuple[str, int], float] = {}
         self._mixes: Dict[int, tuple] = {}
 
-    def _mix(self, t: int):
-        """The timestamp's database without the query, and per query alternative its
-        weight and its distance to every instance; built once per timestamp."""
-        if t not in self._mixes:
-            ds = self.dataset
-            db = UncertainDatabase.from_table((ds.query.id, *ds.object_ids), ds.tables[t])
-            weights, points, rests = zip(*_mix_over_query(db, ds.query.id))
-            dist = distance_matrix([point.position for point in points], rests[0].table.positions)
-            self._mixes[t] = rests[0], list(zip(weights, dist))
-        return self._mixes[t]
-
     def _win_probability(self, object_id: str, t: int) -> float:
         key = (object_id, t)
         if key in self._win_cache:
             return self._win_cache[key]
-        rest, mix = self._mix(t)
+        if t not in self._mixes:  # the query trajectory resolved once per timestamp
+            ds = self.dataset
+            db = UncertainDatabase.from_table((ds.query.id, *ds.object_ids), ds.tables[t])
+            self._mixes[t] = _query_mix(db, ds.query.id)
+        rest, mix = self._mixes[t]
         j = rest.index(object_id)
         table = rest.table
-        sure = all(
-            (1.0 - m == 1.0).all() for _, dist in mix for _, m in _closer_masses(table, dist, j)
-        )
-        if sure:
+        targets = np.arange(table.first[j], table.first[j + 1])
+        if all((1.0 - _closer_block(table, dist, targets) == 1.0).all() for _, dist in mix):
             win = 1.0
         else:
-            targets = np.arange(table.first[j], table.first[j + 1])
-            parts = [w * float(_knn_probabilities(table, dist, 1, targets)[j]) for w, dist in mix]
-            win = min(1.0, math.fsum(parts))
+            win = _object_knn(table, mix, 1, j)
         self._win_cache[key] = win
         return win
 
@@ -274,7 +269,7 @@ class SampledTrajectoryBackend:
     changes no estimate.
     """
 
-    def __init__(self, dataset: TrajectoryDataset, n: int, seed: int = 42):
+    def __init__(self, dataset: TrajectoryDataset, n: int, seed: int = DEFAULT_SEED):
         if n < 1:
             raise ValidationError("sample count must be at least 1")
         self.dataset = dataset
@@ -311,29 +306,6 @@ class SampledTrajectoryBackend:
 Backend = Union[ExactTrajectoryBackend, SampledTrajectoryBackend]
 
 
-def _checked(dataset: TrajectoryDataset, timestamps: Iterable[int], what: str):
-    """The sorted distinct timestamps; they lie in the domain."""
-    ts = tuple(sorted(set(timestamps)))
-    if not ts:
-        raise ValidationError(f"{what} must be non-empty")
-    unknown = set(ts) - set(dataset.timestamps)
-    if unknown:
-        raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
-    return ts
-
-
-def pfann_probability(
-    dataset: TrajectoryDataset,
-    object_id: str,
-    timestamps: Iterable[int],
-    backend: Optional[Backend] = None,
-) -> float:
-    """Probability that the object is the query's NN at every given timestamp."""
-    if backend is None:
-        backend = ExactTrajectoryBackend(dataset)
-    return backend.pfann(object_id, _checked(dataset, timestamps, "timestamp set"))
-
-
 def pc_tau_nn(
     dataset: TrajectoryDataset,
     object_id: str,
@@ -355,7 +327,12 @@ def pc_tau_nn(
         raise ValidationError("tau must lie in (0, 1]")
     if backend is None:
         backend = ExactTrajectoryBackend(dataset)
-    domain = _checked(dataset, timestamps, "query interval")
+    domain = tuple(sorted(set(timestamps)))
+    if not domain:
+        raise ValidationError("query interval must be non-empty")
+    unknown = set(domain) - set(dataset.timestamps)
+    if unknown:
+        raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
 
     qualified: Dict[Tuple[int, ...], float] = {}
     level = [(t,) for t in domain]
@@ -410,8 +387,8 @@ def answer_pcnn(
     dataset: TrajectoryDataset,
     tau: float,
     backend: str = "exact",
-    samples: int = 10000,
-    seed: int = 42,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
     object_id: Optional[str] = None,
     maximal: bool = False,
 ) -> Dict[str, List[TimestampSet]]:

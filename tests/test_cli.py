@@ -188,6 +188,16 @@ class TestKnnCommand:
         assert found[("D", "E")] == pytest.approx(0.4, abs=1e-9)
         assert found[("A", "C")] == pytest.approx(0.3, abs=1e-9)
 
+    @pytest.mark.parametrize("value", ["-1e3", "-2E-3", "-.5e1", "-1.5e+20"])
+    def test_negative_exponent_form_is_a_flag_value(self, value, capsys):
+        """A negative number in exponent form, as ``dumps_canonical`` may write it, is the
+        value of ``--query-y`` and answers as the ``--query-y=`` form does."""
+        argv = KNN_ARGS[:5] + ["--query-y", value] + KNN_ARGS[7:]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["query"] == [0, float(value)]
+        assert run_cli(KNN_ARGS[:5] + [f"--query-y={value}"] + KNN_ARGS[7:], capsys) == (0, out, "")
+
 
 class TestTopkCommand:
     def test_fixture(self, capsys):

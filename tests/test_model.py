@@ -11,7 +11,6 @@ from uncertain_spatial import (
     QueryPoint,
     UncertainDatabase,
     ValidationError,
-    dumps_database,
     euclidean_distance,
     loads_database,
 )
@@ -102,6 +101,19 @@ class TestParseJson:
     def test_too_deep_nesting_is_malformed(self):
         with pytest.raises(ValidationError, match="^malformed config JSON: "):
             parse_json("[" * 100000, "config")
+
+
+def dumps_database(db: UncertainDatabase) -> str:
+    """The database in the dataset JSON format; ``json.dumps`` writes each float so that it
+    reloads bit for bit."""
+    objects = [
+        {"id": obj.id, "instances": [
+            {"x": inst.position[0], "y": inst.position[1], "p": inst.prob}
+            for inst in obj.instances
+        ]}
+        for obj in db.objects
+    ]
+    return json.dumps({"objects": objects}, separators=(",", ":"))
 
 
 class TestSerialization:

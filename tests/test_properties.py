@@ -304,7 +304,7 @@ def test_distance_table_matches_the_scalar_reference(case):
         (generating_function, _convolution_over_every_trial),
     ):
         expected = {oid: _reference_knn(db, q, k, oid, every_trial) for oid in targets}
-        assert {oid: knn_object_probability(db, q, k, oid, kernel) for oid in targets} == expected
+        assert {oid: knn_object_probability(db, q, k, oid) for oid in targets} == expected
         # all objects at once, accumulated over the query's positions as object_probabilities does
         acc = {}
         for w, point, rest in _positions(db, q):
@@ -400,7 +400,7 @@ def test_truncated_fold_matches_the_kernel_path(case):
     for kernel in (poisson_binomial_recurrence, generating_function):
         every, one = _kernel_path(db, q, k, kernel)
         assert object_probabilities(db, q, KnnPredicate(k), kernel) == every
-        assert {oid: knn_object_probability(db, q, k, oid, kernel) for oid in one} == one
+        assert {oid: knn_object_probability(db, q, k, oid) for oid in one} == one
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Query engine: per-object probabilities, predicates, ranks, expected distance."""
+"""Query engine: per-object probabilities, predicates, ranks."""
 
 import math
 
@@ -15,7 +15,6 @@ from uncertain_spatial import (
     UncertainDatabase,
     ValidationError,
     enumerate_worlds,
-    expected_distance,
     generating_function,
     in_range_probability,
     knn_object_probability,
@@ -24,14 +23,13 @@ from uncertain_spatial import (
     query_probability,
     range_count_distribution,
     rank_distribution,
-    threshold_query,
-    topk_predicate,
 )
 
 from uncertain_spatial import queries
+from uncertain_spatial.cli import main
 from uncertain_spatial.queries import answer_objects, answer_range, object_probabilities
 
-from conftest import fixture_db, make_object, random_db, world_rank_of
+from conftest import FIXTURES, fixture_db, make_object, random_db, world_rank_of
 
 Q0 = QueryPoint(0.0, 0.0)
 RANGE100 = RangeQuery(Q0, 100.0)
@@ -52,6 +50,20 @@ class TestRangeProbability:
         obj = make_object("X", [(3, 4, 1.0)])
         assert in_range_probability(obj, RangeQuery(Q0, 5.0)) == 1.0
         assert in_range_probability(obj, RangeQuery(Q0, 4.999999)) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, y, epsilon",
+        [(0.3, 0.5, 0.58309518948453), (0.04, 0.49, 0.49162994213127414)],
+    )
+    def test_edge_follows_euclidean_distance(self, x, y, epsilon):
+        """``np.hypot`` and ``math.hypot`` put these instances on opposite sides of the
+        boundary; every range path agrees with ``in_range_probability``."""
+        assert (np.hypot(x, y) <= epsilon) != (math.hypot(x, y) <= epsilon)
+        db = UncertainDatabase((make_object("A", [(x, y, 0.5)]), make_object("B", [(x, y, 1.0)])))
+        expected = {o.id: in_range_probability(o, RangeQuery(Q0, epsilon)) for o in db.objects}
+        assert object_probabilities(db, Q0, RangePredicate(epsilon)) == expected
+        cd = range_count_distribution(db, RangeQuery(Q0, epsilon))
+        assert cd.mass[0] == (0.0 if expected["B"] else 1.0)
 
 
 class TestCountDistribution:
@@ -120,20 +132,27 @@ class TestCountDistribution:
 
 
 class TestThresholdQuery:
+    """Threshold selection as the CLI runs it: ``ProbabilisticPredicate.select`` over
+    ``object_probabilities``."""
+
     def test_fixture_result(self, range_db):
-        res = threshold_query(range_db, Q0, RangePredicate(100.0), 0.5)
+        probs = object_probabilities(range_db, Q0, RangePredicate(100.0))
+        res = ProbabilisticPredicate(kind="threshold", tau=0.5).select(probs)
         assert res.members == ("A", "D")
 
     def test_tau_zero_is_possibilistic(self, range_db):
-        res = threshold_query(range_db, Q0, RangePredicate(100.0), 0.0)
+        probs = object_probabilities(range_db, Q0, RangePredicate(100.0))
+        res = ProbabilisticPredicate(kind="threshold", tau=0.0).select(probs)
         assert res.members == ("A", "B", "C", "D")
 
     def test_tau_one(self, range_db):
-        res = threshold_query(range_db, Q0, RangePredicate(100.0), 1.0)
+        probs = object_probabilities(range_db, Q0, RangePredicate(100.0))
+        res = ProbabilisticPredicate(kind="threshold", tau=1.0).select(probs)
         assert res.members == ("A",)
 
     def test_knn_predicate_threshold(self, knn_db):
-        res = threshold_query(knn_db, Q0, KnnPredicate(2), 0.95)
+        probs = object_probabilities(knn_db, Q0, KnnPredicate(2))
+        res = ProbabilisticPredicate(kind="threshold", tau=0.95).select(probs)
         assert res.members == ("C",)
 
     def test_antitone_in_tau(self):
@@ -141,20 +160,27 @@ class TestThresholdQuery:
         for _ in range(10):
             db = random_db(rng, max_objects=6)
             q = QueryPoint(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            pred = RangePredicate(float(rng.uniform(0, 15)))
+            probs = object_probabilities(db, q, RangePredicate(float(rng.uniform(0, 15))))
             taus = sorted(rng.uniform(0, 1, size=4))
-            results = [set(threshold_query(db, q, pred, t)) for t in taus]
+            results = [
+                set(ProbabilisticPredicate(kind="threshold", tau=t).select(probs)) for t in taus
+            ]
             for lo, hi in zip(results, results[1:]):
                 assert hi <= lo
 
 
 class TestTopkPredicate:
+    """Top-k selection as the CLI runs it: ``ProbabilisticPredicate.select`` over
+    ``object_probabilities``; ``topk`` itself checks k against the database size."""
+
     def test_fixture_result(self, range_db):
-        res = topk_predicate(range_db, Q0, RangePredicate(100.0), 3)
+        probs = object_probabilities(range_db, Q0, RangePredicate(100.0))
+        res = ProbabilisticPredicate(kind="topk", k=3).select(probs)
         assert res.members == ("A", "B", "D")
 
     def test_k_equals_database_size(self, range_db):
-        res = topk_predicate(range_db, Q0, RangePredicate(100.0), len(range_db))
+        probs = object_probabilities(range_db, Q0, RangePredicate(100.0))
+        res = ProbabilisticPredicate(kind="topk", k=len(range_db)).select(probs)
         assert res.members == range_db.object_ids
 
     def test_boundary_ties_are_included(self):
@@ -165,7 +191,8 @@ class TestTopkPredicate:
                 make_object("C", [(400, 0, 1.0)]),
             )
         )
-        res = topk_predicate(db, Q0, RangePredicate(10.0), 1)
+        probs = object_probabilities(db, Q0, RangePredicate(10.0))
+        res = ProbabilisticPredicate(kind="topk", k=1).select(probs)
         assert res.members == ("A", "B")
 
     def test_structure_min_inside_max_outside(self):
@@ -175,7 +202,7 @@ class TestTopkPredicate:
             q = QueryPoint(rng.uniform(-10, 10), rng.uniform(-10, 10))
             pred = RangePredicate(float(rng.uniform(0, 15)))
             k = int(rng.integers(1, len(db) + 1))
-            res = topk_predicate(db, q, pred, k)
+            res = ProbabilisticPredicate(kind="topk", k=k).select(object_probabilities(db, q, pred))
             assert len(res) >= k
             probs = {
                 o.id: in_range_probability(o, RangeQuery(q, pred.epsilon))
@@ -186,11 +213,13 @@ class TestTopkPredicate:
             if outside:
                 assert min(inside) >= max(outside) - 1e-12
 
-    def test_k_out_of_range(self, range_db):
+    def test_k_out_of_range(self, capsys):
         with pytest.raises(ValidationError):
-            topk_predicate(range_db, Q0, RangePredicate(100.0), 0)
-        with pytest.raises(ValidationError):
-            topk_predicate(range_db, Q0, RangePredicate(100.0), 7)
+            ProbabilisticPredicate(kind="topk", k=0)
+        argv = ["topk", "--dataset", str(FIXTURES / "range_demo.json"),
+                "--query-x", "0", "--query-y", "0", "--epsilon", "100", "--k", "7"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == '{"error": "k must be within 1..6"}\n'
 
 
 class TestKnnObjectProbability:
@@ -201,10 +230,10 @@ class TestKnnObjectProbability:
             )
 
     def test_generating_function_kernel_agrees(self, knn_db):
+        every = object_probabilities(knn_db, Q0, KnnPredicate(2), kernel=generating_function)
         for oid in "ABC":
             a = knn_object_probability(knn_db, Q0, 2, oid)
-            b = knn_object_probability(knn_db, Q0, 2, oid, kernel=generating_function)
-            assert a == pytest.approx(b, abs=1e-12)
+            assert a == pytest.approx(every[oid], abs=1e-12)
 
     def test_certain_object_with_enough_slots(self):
         db = UncertainDatabase(
@@ -249,8 +278,8 @@ class TestKnnObjectProbability:
         def kernel(trials):
             raise AssertionError("the kNN engine called a kernel")
 
-        assert knn_object_probability(db, Q0, 2, "C", kernel) == 0.0
-        assert knn_object_probability(db, Q0, 3, "C", kernel) == 1.0
+        assert knn_object_probability(db, Q0, 2, "C") == 0.0
+        assert knn_object_probability(db, Q0, 3, "C") == 1.0
         assert object_probabilities(db, Q0, KnnPredicate(2), kernel) == {
             "A": 1.0, "B": 1.0, "C": 0.0
         }
@@ -352,22 +381,6 @@ class TestDistanceTableBlocks:
         assert np.array_equal(rank_distribution(db, q, "o00070").mass, ranks)
 
 
-class TestExpectedDistance:
-    def test_arithmetic_mean(self):
-        obj = make_object("X", [(1, 0, 0.5), (3, 0, 0.5)])
-        assert expected_distance(obj, Q0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_certain_object(self):
-        obj = make_object("X", [(0, 7, 1.0)])
-        assert expected_distance(obj, Q0) == 7.0
-
-    def test_no_renormalization(self):
-        """Existentially uncertain mass is simply missing from the sum."""
-        obj = make_object("X", [(1, 0, 0.7), (2, 0, 0.2)])
-        assert expected_distance(obj, Q0) == pytest.approx(0.7 * 1 + 0.2 * 2, abs=1e-12)
-        assert expected_distance(obj, Q0) == pytest.approx(1.1, abs=1e-12)
-
-
 class TestProbabilisticPredicate:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -385,8 +398,8 @@ class TestProbabilisticPredicate:
 class TestUncertainQuery:
     def test_threshold_with_query_object(self, consensus_db):
         """Per-object kNN probabilities mix over the query object's positions."""
-        res = threshold_query(consensus_db, "Q", KnnPredicate(2), 0.5)
-        assert res.members == ("C",)
+        probs = object_probabilities(consensus_db, "Q", KnnPredicate(2))
+        assert ProbabilisticPredicate(kind="threshold", tau=0.5).select(probs).members == ("C",)
         oracle = object_based(consensus_db, "Q", KnnPredicate(2))
         for oid in oracle:
             assert knn_object_probability(consensus_db, "Q", 2, oid) == pytest.approx(

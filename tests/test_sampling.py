@@ -12,7 +12,6 @@ from uncertain_spatial import (
     RangePredicate,
     UncertainDatabase,
     ValidationError,
-    estimate_count_distribution,
     estimate_object_probabilities,
     estimate_result_probabilities,
     jaccard_distance,
@@ -20,7 +19,7 @@ from uncertain_spatial import (
     sample_worlds,
 )
 from uncertain_spatial.model import distance_matrix
-from uncertain_spatial.sampling import _sampled_members
+from uncertain_spatial.sampling import _sampled_members, estimate_range
 from uncertain_spatial.worlds import ResultSet
 
 from conftest import make_object, random_db
@@ -143,7 +142,7 @@ class TestResultEstimation:
 
     def test_count_distribution_estimate(self, range_db):
         X = sample_worlds(range_db, 100000, seed=14)
-        cd = estimate_count_distribution(X, Q0, 100.0)
+        _, cd = estimate_range(X, Q0, 100.0)
         expected = [0.0, 0.056, 0.542, 0.348, 0.054, 0.0, 0.0]
         for k, p in enumerate(expected):
             sigma = math.sqrt(p * (1 - p) / len(X)) if 0 < p < 1 else 0.0

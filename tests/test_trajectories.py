@@ -18,7 +18,6 @@ from uncertain_spatial import (
     maximal_timestamp_sets,
     pc_tau_nn,
     pcnn_query,
-    pfann_probability,
 )
 
 from uncertain_spatial import trajectories
@@ -111,9 +110,9 @@ class TestModel:
 class TestExactBackend:
     def test_fixture_singletons(self, demo_dataset):
         be = ExactTrajectoryBackend(demo_dataset)
-        assert pfann_probability(demo_dataset, "o1", [0], be) == pytest.approx(0.9, abs=1e-12)
-        assert pfann_probability(demo_dataset, "o1", [1], be) == pytest.approx(0.8, abs=1e-12)
-        assert pfann_probability(demo_dataset, "o2", [2], be) == pytest.approx(0.4, abs=1e-12)
+        assert be.pfann("o1", [0]) == pytest.approx(0.9, abs=1e-12)
+        assert be.pfann("o1", [1]) == pytest.approx(0.8, abs=1e-12)
+        assert be.pfann("o2", [2]) == pytest.approx(0.4, abs=1e-12)
 
     def test_certain_winner_is_exactly_one(self):
         ds = TrajectoryDataset(
@@ -124,7 +123,7 @@ class TestExactBackend:
                 traj("far", {0: [(50, 0, 1.0)]}),
             ),
         )
-        assert pfann_probability(ds, "near", [0]) == 1.0
+        assert ExactTrajectoryBackend(ds).pfann("near", [0]) == 1.0
 
     def test_sure_timestamp_factors_out(self):
         """With one certain timestamp, adding it never changes a probability."""
@@ -146,8 +145,9 @@ class TestExactBackend:
             query=traj("q", {0: [(0, 0, 1.0)]}),
             objects=(traj("a", {0: [(1, 0, 1.0)]}), traj("b", {0: [(1, 0, 1.0)]})),
         )
-        assert pfann_probability(ds, "a", [0]) == 1.0
-        assert pfann_probability(ds, "b", [0]) == 0.0
+        be = ExactTrajectoryBackend(ds)
+        assert be.pfann("a", [0]) == 1.0
+        assert be.pfann("b", [0]) == 0.0
 
     def test_monotone_under_containment(self):
         rng = np.random.default_rng(51)
