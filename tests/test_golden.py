@@ -135,6 +135,22 @@ def _edge_cases():
     return cases
 
 
+#: Ten trajectories over 12 timestamps, drawn by ``bench/generate.py``'s
+#: ``trajectory_dataset`` with seed 7: the shadow candidate ``c00`` is nearest with
+#: probability 0.97, 0.5 or 0.2, four timestamps each, so it alone qualifies on 599 sets
+#: at tau 0.05 and 179 at tau 0.2.  997 samples is not a multiple of 8.
+SHADOW = ["pcnn", "--dataset", "fixtures/pcnn_shadow.json", "--backend", "sampled"]
+
+
+def _shadow_cases():
+    return [
+        SHADOW + ["--samples", n, "--seed", "42", "--tau", tau] + maximal
+        for n in ("997", "4000")
+        for tau in ("0.05", "0.2")
+        for maximal in ([], ["--maximal"])
+    ]
+
+
 def _other_cases():
     consensus = ["--dataset", "fixtures/consensus_demo.json"]
     knn = ["--dataset", "fixtures/knn_demo.json", "--query-x", "0", "--query-y", "0"]
@@ -204,7 +220,7 @@ def _other_cases():
         ["knn"] + worlds + ["--query-x", "0", "--query-y", "0", "--k", "1", "--backend", "bogus"],
     ]
     return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors,
-            "clustered": _clustered_cases(), "edges": _edge_cases()}
+            "clustered": _clustered_cases(), "edges": _edge_cases(), "shadow": _shadow_cases()}
 
 
 def all_cases():
