@@ -64,12 +64,6 @@ class CountDistribution:
     def __len__(self) -> int:
         return len(self.mass)
 
-    def prob_at_most(self, k: int) -> float:
-        """P(count <= k); zero for k < 0."""
-        if k < 0:
-            return 0.0
-        return float(self.mass[: k + 1].sum())
-
     def total(self) -> float:
         return float(self.mass.sum())
 

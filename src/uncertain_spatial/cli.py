@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -51,8 +52,9 @@ def dumps_canonical(value) -> str:
     """Serialize to JSON with floats at 12 significant digits.
 
     A number is ``f"{x:.12g}"``, or ``"0"`` for zero; a non-finite float raises
-    ``ValueError``.  A flat list of floats, or a dict of floats by string key, is
-    written in one pass, with the same bytes as item by item.
+    ``ValueError``.  A flat list of finite floats or of ints, a dict of such values,
+    and a list of dicts that share their str keys in order (each key's values flat, or
+    all lists of ints) are written in one pass, with the same bytes as item by item.
     """
     if value is None:
         return "null"
@@ -66,38 +68,65 @@ def dumps_canonical(value) -> str:
             raise ValueError(f"non-finite number in output: {x}")
         return "0" if x == 0.0 else f"{x:.12g}"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)  # what json.dumps does with a str
     if isinstance(value, (list, tuple, np.ndarray)):
-        numbers = _flat_numbers(value)
-        if numbers is not None:
-            return "[" + ",".join(numbers) + "]"
-        return "[" + ",".join(dumps_canonical(v) for v in value) + "]"
+        items = _flat(value)
+        if items is None:
+            items = _records(value)
+        if items is None:
+            items = map(dumps_canonical, value)
+        return "[" + ",".join(items) + "]"
     if isinstance(value, dict):
-        numbers = _flat_numbers(value.values())
-        if numbers is not None and _STR.issuperset(map(type, value)):
-            keys = map(encode_basestring_ascii, value)  # what json.dumps does with a str
-            return "{" + ",".join([f"{k}:{x}" for k, x in zip(keys, numbers)]) + "}"
-        return (
-            "{"
-            + ",".join(f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in value.items())
-            + "}"
-        )
+        names = value if _STR.issuperset(map(type, value)) else map(str, value)
+        keys = map(encode_basestring_ascii, names)
+        items = _flat(value.values())
+        if items is None:
+            items = map(dumps_canonical, value.values())
+        return "{" + ",".join([f"{k}:{v}" for k, v in zip(keys, items)]) + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 _FLOATS = frozenset({float, np.float64})
+_INT = frozenset({int})
 _STR = frozenset({str})
+_DICT = frozenset({dict})
+_LIST = frozenset({list})
 
 
-def _flat_numbers(values) -> Optional[List[str]]:
+def _flat(values) -> Optional[List[str]]:
     """Each value written as ``dumps_canonical`` writes it, when every one is a finite
-    float; ``None`` otherwise."""
-    if not _FLOATS.issuperset(map(type, values)):
+    float or every one an int; ``None`` otherwise."""
+    if _FLOATS.issuperset(map(type, values)):
+        floats = list(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return ["0" if x == 0.0 else "%.12g" % x for x in floats]
+    elif _INT.issuperset(map(type, values)):
+        return list(map(str, values))
+    return None
+
+
+def _records(values) -> Optional[List[str]]:
+    """Each value written as ``dumps_canonical`` writes it, when all are dicts with the
+    same str keys in the same order and, per key, the values are ``_flat`` or are all
+    lists of ints; ``None`` otherwise."""
+    if not _DICT.issuperset(map(type, values)) or len(set(map(tuple, values))) != 1:
         return None
-    floats = list(map(float, values))
-    if not all(map(math.isfinite, floats)):
+    keys = tuple(values[0])
+    if not keys or not _STR.issuperset(map(type, keys)):
         return None
-    return ["0" if x == 0.0 else "%.12g" % x for x in floats]
+    columns = []
+    for column in zip(*map(dict.values, values)):
+        items = _flat(column)
+        if (items is None and _LIST.issuperset(map(type, column))
+                and _INT.issuperset(map(type, itertools.chain.from_iterable(column)))):
+            # a list of ints is written as its repr is, without the spaces
+            items = [repr(v).replace(" ", "") for v in column]
+        if items is None:
+            return None
+        columns.append(items)
+    # one %-format per record; encode_basestring_ascii leaves a "%" in a key, so double it
+    row = "{" + ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys) + "}"
+    return [row % items for items in zip(*columns)]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -131,11 +131,6 @@ class UncertainObject:
             raise ValidationError(f"object {self.id!r}: instance probabilities sum to 0")
 
     @property
-    def existence_prob(self) -> float:
-        """Probability that the object exists (sum of instance probabilities)."""
-        return min(1.0, math.fsum(inst.prob for inst in self.instances))
-
-    @property
     def absence_prob(self) -> float:
         return max(0.0, 1.0 - math.fsum(inst.prob for inst in self.instances))
 

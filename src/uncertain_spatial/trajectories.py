@@ -261,12 +261,12 @@ class SampledTrajectoryBackend:
     draws its alternative in the n worlds with counter r * T + b.  Only rows that
     can be nearest are drawn: a row always farther than some object's farthest
     alternative never wins or ties, and skipping it moves no other row's counter.
-    Bit b of ``masks[oid][i]`` is set when the object is the strict nearest
-    neighbor of the query at the b-th timestamp in world i, so per world and
-    timestamp exactly one object's bit is set.  Estimated probabilities are
-    exactly anti-monotone under subset containment because they count bitmask
-    coverage; a surely won timestamp's bit is set in every sample, so adding it
-    changes no estimate.
+    ``tidsets[oid][t]`` is an n-bit int whose bit i is set when the object is the
+    strict nearest neighbor of the query at timestamp t in world i, so per world and
+    timestamp exactly one object's bit is set.  A set's estimate is the share of
+    worlds in the AND of its timestamps' tidsets, so estimates are exactly
+    anti-monotone under subset containment; a surely won timestamp's tidset holds
+    every world, so adding it changes no estimate.
     """
 
     def __init__(self, dataset: TrajectoryDataset, n: int, seed: int = DEFAULT_SEED):
@@ -275,18 +275,15 @@ class SampledTrajectoryBackend:
         self.dataset = dataset
         self.n = n
         self.seed = seed
-        self._bits = {t: 1 << b for b, t in enumerate(dataset.timestamps)}
-        self.masks = self._build_bitmap()
+        self._all = (1 << n) - 1
+        self.tidsets = self._build_tidsets()
 
-    def _build_bitmap(self) -> "dict[str, np.ndarray]":
+    def _build_tidsets(self) -> "dict[str, dict[int, int]]":
         ds = self.dataset
         n_t = len(ds.timestamps)
-        if n_t > 63:
-            raise CapExceededError("sampled backend supports at most 63 timestamps")
-        if not ds.objects:
-            return {}
+        ids = ds.object_ids
+        tidsets = {oid: dict.fromkeys(ds.timestamps, 0) for oid in ids}
         streams = _substreams(self.seed, self.n)
-        masks = np.zeros((len(ds.objects), self.n), dtype=np.uint64)
         for b, t in enumerate(ds.timestamps):
             table = ds.tables[t]
             # row r draws with counter r * n_t + b; the query is row 0; one nearest per sample
@@ -294,13 +291,19 @@ class SampledTrajectoryBackend:
                 table, 0, table.positions[: table.first[1]],
                 lambda r: _branches(table, r, _uniforms(streams, r * n_t + b)),
                 self.n, KnnPredicate(1))
-            sample, c = np.nonzero(member)
-            masks[np.asarray(rows)[c] - 1, sample] |= np.uint64(1 << b)
-        return dict(zip(ds.object_ids, masks))
+            hit = np.flatnonzero(member.any(axis=0))
+            # bit i of a column packed little-endian is sample i
+            packed = np.packbits(member[:, hit].T, axis=1, bitorder="little")
+            for c, row in zip(hit.tolist(), packed):
+                tidsets[ids[rows[c] - 1]][t] = int.from_bytes(row.tobytes(), "little")
+        return tidsets
 
     def pfann(self, object_id: str, timestamps: Iterable[int]) -> float:
-        want = np.uint64(sum(self._bits[t] for t in set(timestamps)))
-        return float(np.count_nonzero((self.masks[object_id] & want) == want)) / self.n
+        tids = self.tidsets[object_id]
+        worlds = self._all
+        for t in timestamps:
+            worlds &= tids[t]
+        return worlds.bit_count() / self.n
 
 
 Backend = Union[ExactTrajectoryBackend, SampledTrajectoryBackend]

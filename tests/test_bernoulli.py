@@ -139,8 +139,3 @@ class TestCountDistribution:
         with pytest.raises(ValueError):
             CountDistribution(np.array([1.0, -1e-12]))
 
-    def test_prob_at_most(self):
-        cd = poisson_binomial_recurrence(WORKED_PROBS)
-        assert abs(cd.prob_at_most(1) - (0.3024 + 0.4404)) < 1e-12
-        assert cd.prob_at_most(-1) == 0.0
-        assert abs(cd.prob_at_most(10) - 1.0) < 1e-12

@@ -31,6 +31,17 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def item_by_item(value):
+    """JSON as ``dumps_canonical`` writes it, one item at a time: containers recurse,
+    strings go through ``json.dumps`` and other scalars through ``dumps_canonical``."""
+    if isinstance(value, dict):
+        items = (f"{json.dumps(str(k))}:{item_by_item(v)}" for k, v in value.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(map(item_by_item, value)) + "]"
+    return json.dumps(value) if isinstance(value, str) else dumps_canonical(value)
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         assert dumps_canonical({"p": 0.30000000000000004}) == '{"p":0.3}'
@@ -42,13 +53,6 @@ class TestCanonicalJson:
 
     def test_flat_lists_and_dicts_match_item_by_item(self):
         """The one-pass path for flat floats writes what the item-by-item path writes."""
-
-        def item_by_item(value):
-            if isinstance(value, dict):
-                items = (f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in value.items())
-                return "{" + ",".join(items) + "}"
-            return "[" + ",".join(dumps_canonical(v) for v in value) + "]"
-
         rng = np.random.default_rng(5)
         edge = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-5, 1e16, 123456789012.5, 1 / 3, 2.0**-1074]
         for _ in range(30):
@@ -65,6 +69,31 @@ class TestCanonicalJson:
         for bad in ([0.5, math.inf], {"a": 0.5, "b": math.nan}):
             with pytest.raises(ValueError, match="non-finite"):
                 dumps_canonical(bad)
+
+    def test_int_lists_and_records_match_item_by_item(self):
+        """The one-pass paths for ints and for records of shared keys write what the
+        item-by-item path writes."""
+        keys = ["timestamps", "p", "%s", "100%", 'q"uote', "é", "\u2028"]
+        rows = [{k: v for k, v in zip(keys, ([3, 1, 10**20], 0.125, "x", -7, "é", [], 1e-300))},
+                {k: v for k, v in zip(keys, ([], 0.0, "%d", 2**70, "", [0], -0.0))}]
+        cases = [
+            [0, -1, 2**64, 10**30], ["a", "é", 'q"', "\u2028", ""], rows, rows[:1],
+            {"a": 1, "b": -2}, {"a": "x", "%": "%s"},
+            [{"t": [1, 2], "p": 0.5}, {"p": 0.5, "t": [1, 2]}],  # keys in another order
+            [{"t": [1, True], "p": 0.5}], [{"t": (1, 2), "p": 0.5}], [{"t": [1.5], "p": 1}],
+            [{"t": [[1]], "p": 0.5}], [{1: 0.5}, {1: 0.25}], [{"t": 1}, {"t": "x"}],
+            [{"t": [1, 2]}, [1, 2]], [{}, {}], [True, 1], [1, None], ["a", 1],
+        ]
+        for value in cases:
+            assert dumps_canonical(value) == item_by_item(value), value
+        assert dumps_canonical(rows[:1]) == (
+            '[{"timestamps":[3,1,100000000000000000000],"p":0.125,"%s":"x","100%":-7,'
+            '"q\\"uote":"\\u00e9","\\u00e9":[],"\\u2028":1e-300}]'
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_canonical([{"t": [1], "p": 0.5}, {"t": [2], "p": math.inf}])
+        with pytest.raises(TypeError):  # the first bad item is the one reported
+            dumps_canonical([{"t": [1], "p": object()}, {"t": [2], "p": math.inf}])
 
 
 class TestRangeCommand:

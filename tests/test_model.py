@@ -24,14 +24,13 @@ class TestLoading:
     def test_worlds_demo_existence(self, worlds_db):
         """U2's instance probabilities sum to 0.9, leaving 0.1 absence mass."""
         u2 = worlds_db["U2"]
-        assert abs(u2.existence_prob - 0.9) < 1e-12
         assert u2.is_existentially_uncertain
         assert abs(u2.absence_prob - 0.1) < 1e-12
         assert not worlds_db["U1"].is_existentially_uncertain
 
     def test_certain_single_instance(self):
         db = loads_database('{"objects":[{"id":"A","instances":[{"x":0,"y":0,"p":1.0}]}]}')
-        assert db["A"].existence_prob == 1.0
+        assert db["A"].absence_prob == 0.0
         assert not db["A"].is_existentially_uncertain
 
     def test_order_preserved(self, range_db):

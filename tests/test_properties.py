@@ -5,8 +5,9 @@ loops that visit every trial and instance one at a time, the truncated kNN fold 
 per-instance kernel path it replaced, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
-exact trajectory backend against the kNN engine and the oracle, and PAM, the weighted silhouette
-and the auto-k choice against the one-candidate loops they replaced."""
+exact trajectory backend against the kNN engine and the oracle, the sampled one against a
+per-sample loop, PAM, the weighted silhouette and the auto-k choice against the one-candidate
+loops they replaced, and the one-pass JSON writer against the item-by-item one."""
 
 import math
 from collections import Counter
@@ -36,6 +37,7 @@ from uncertain_spatial.bernoulli import (  # noqa: E402
     generating_function,
     poisson_binomial_recurrence,
 )
+from uncertain_spatial.cli import dumps_canonical  # noqa: E402
 from uncertain_spatial.model import PROB_TOL, distance_matrix, euclidean_distance  # noqa: E402
 from uncertain_spatial.queries import (  # noqa: E402
     KERNELS,
@@ -52,6 +54,7 @@ from uncertain_spatial.representatives import (  # noqa: E402
 )
 from uncertain_spatial.trajectories import (  # noqa: E402
     ExactTrajectoryBackend,
+    SampledTrajectoryBackend,
     TimestampSet,
     TrajectoryDataset,
     UncertainTrajectory,
@@ -59,6 +62,8 @@ from uncertain_spatial.trajectories import (  # noqa: E402
 )
 
 from conftest import make_object  # noqa: E402
+from test_cli import item_by_item  # noqa: E402
+from test_trajectories import grid_dataset, reference_bitmap  # noqa: E402
 
 #: Integer-grid coordinates make equal distances, and so id tie-breaks, common.
 GRID = st.integers(0, 4)
@@ -265,7 +270,7 @@ def _reference_knn(db, q, k, oid, kernel):
     for w, point, rest in _positions(db, q):
         total = 0.0
         for p, closer in _closer_counts(rest, point, oid, kernel):
-            total += p * closer.prob_at_most(k - 1)
+            total += p * float(closer.mass[:k].sum())
         parts.append(w * min(1.0, total))
     return math.fsum(parts)
 
@@ -335,7 +340,7 @@ def _knn_probability_by_kernel(masses, k, kernel):
     total = 0.0
     for p, trials in masses:
         if np.count_nonzero(trials == 1.0) < k:
-            total += p * kernel(trials).prob_at_most(k - 1)
+            total += p * float(kernel(trials).mass[:k].sum())
     return min(1.0, total)
 
 
@@ -592,6 +597,51 @@ def test_exact_trajectory_wins_are_the_knn_engine(ds):
             else:
                 assert win == knn_object_probability(db, "q", 1, oid)
             assert abs(win - oracle[oid]) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 8, 9, 300]), st.data())
+def test_sampled_pfann_is_the_share_of_covering_samples(seed, n, data):
+    """A sampled estimate equals, with ==, the count of samples in which the object is nearest
+    at every timestamp of the set, over n; the empty set gives 1.0."""
+    n_t = data.draw(st.integers(1, 6))
+    sure = data.draw(st.sets(st.integers(0, n_t - 1)))
+    ds = grid_dataset(np.random.default_rng(seed), n_t=n_t, n_obj=3, sure=sure)
+    backend = SampledTrajectoryBackend(ds, n, seed=seed)
+    won = reference_bitmap(ds, n, seed)
+    subsets = [(), ds.timestamps] + data.draw(
+        st.lists(st.sets(st.sampled_from(ds.timestamps)), max_size=6))
+    for oid in ds.object_ids:
+        for sub in subsets:
+            covering = set(range(n)).intersection(*(won[oid][t] for t in sub))
+            assert backend.pfann(oid, sub) == len(covering) / n
+    assert all(backend.pfann("o0", (t,)) == 1.0 for t in sure)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+           | st.floats(allow_nan=False, allow_infinity=False))
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=4), max_leaves=10)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts that share their str keys, each key's values of one kind, and
+    sometimes a stray item."""
+    keys = draw(st.lists(st.text(max_size=3), unique=True, max_size=3))
+    kinds = [st.floats(allow_nan=False, allow_infinity=False), st.integers(), st.text(max_size=3),
+             st.lists(st.integers(), max_size=4), JSON]
+    columns = [draw(st.sampled_from(kinds)) for _ in keys]
+    records = [{k: draw(c) for k, c in zip(keys, columns)} for _ in range(draw(st.integers(0, 5)))]
+    if records and draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), draw(JSON))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists() | JSON)
+def test_canonical_json_one_pass_paths_match_item_by_item(value):
+    assert dumps_canonical(value) == item_by_item(value)
 
 
 def _reference_pam(dist, weights, k):

@@ -261,8 +261,11 @@ class TestClusterRepresentatives:
     def test_deterministic(self):
         rng = np.random.default_rng(46)
         pr = random_pr(rng)
-        a = cluster_representatives(pr, alpha=0.95)
-        b = cluster_representatives(pr, alpha=0.95)
+        # one cluster covers 4 samples: too few for the normal approximation
+        with pytest.warns(UserWarning, match="normal approximation unreliable"):
+            a = cluster_representatives(pr, alpha=0.95)
+        with pytest.warns(UserWarning, match="normal approximation unreliable"):
+            b = cluster_representatives(pr, alpha=0.95)
         assert a == b
         c = max_cover_representatives(pr, 0.4, 2, 0.95)
         d = max_cover_representatives(pr, 0.4, 2, 0.95)

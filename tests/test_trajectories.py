@@ -1,6 +1,7 @@
 """Trajectory NN queries: backends, lattice search, anti-monotonicity."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from uncertain_spatial import (
 )
 
 from uncertain_spatial import trajectories
+from uncertain_spatial.cli import main
 from uncertain_spatial.sampling import _branches, _substreams, _uniforms
 
 from conftest import FIXTURES
@@ -194,35 +196,47 @@ class TestSampledBackend:
                                 assert sampled.pfann(oid, sub + (t,)) <= p_sub
 
     def test_exclusive_winner_bits(self):
+        """Per timestamp, the objects' tidsets are pairwise disjoint and cover every sample."""
         rng = np.random.default_rng(54)
         ds = random_dataset(rng, max_objects=3)
         sampled = SampledTrajectoryBackend(ds, 200, seed=9)
-        masks = list(sampled.masks.values())
-        for bi in range(len(ds.timestamps)):
-            bit = np.uint64(1 << bi)
-            owners = sum(((m & bit) != 0).astype(int) for m in masks)
-            assert np.all(owners == 1)
+        for t in ds.timestamps:
+            tids = [sampled.tidsets[oid][t] for oid in ds.object_ids]
+            assert sum(tid.bit_count() for tid in tids) == 200
+            union = 0
+            for tid in tids:
+                assert union & tid == 0
+                union |= tid
+            assert union == (1 << 200) - 1
 
     def test_determinism(self, demo_dataset):
         a = SampledTrajectoryBackend(demo_dataset, 1000, seed=5)
         b = SampledTrajectoryBackend(demo_dataset, 1000, seed=5)
-        for oid in demo_dataset.object_ids:
-            assert np.array_equal(a.masks[oid], b.masks[oid])
+        assert a.tidsets == b.tidsets
 
 
-def grid_dataset(rng, n_t=4, n_obj=4, max_alts=3):
-    """Alternatives on a 5x5 integer grid, so equal distances (and id tie-breaks) are common."""
+def grid_dataset(rng, n_t=4, n_obj=4, max_alts=3, sure=()):
+    """Alternatives on a 5x5 integer grid, so equal distances (and id tie-breaks) are common.
 
-    def grid_traj(tid):
+    At the timestamps in ``sure`` the query has one alternative and ``o0`` sits on it, so
+    ``o0`` surely wins there: an object as near is at distance 0 too and loses on id.
+    """
+
+    def grid_spec():
         spec = {}
         for t in range(n_t):
             m = int(rng.integers(1, max_alts + 1))
             spec[t] = [(*rng.integers(0, 5, size=2).tolist(), 1.0 / m) for _ in range(m)]
-        return traj(tid, spec)
+        return spec
 
     ids = [f"o{i}" for i in rng.permutation(n_obj)]  # ids out of database order
+    specs = {tid: grid_spec() for tid in ["q", *ids]}
+    for t in sure:
+        x, y, _ = specs["q"][t][0]
+        specs["q"][t] = specs["o0"][t] = [(x, y, 1.0)]
     return TrajectoryDataset(
-        timestamps=tuple(range(n_t)), query=grid_traj("q"), objects=tuple(map(grid_traj, ids))
+        timestamps=tuple(range(n_t)), query=traj("q", specs["q"]),
+        objects=tuple(traj(tid, specs[tid]) for tid in ids),
     )
 
 
@@ -252,11 +266,12 @@ def pruned_grid_dataset(rng, n_t=4, n_far=6, max_alts=3):
 
 
 def reference_bitmap(ds, n, seed):
-    """Winner bitmasks from a per-sample loop: row r draws timestamp b with counter r * T + b."""
+    """Per object and timestamp, the samples the object wins, from a per-sample loop: row r
+    draws timestamp b with counter r * T + b."""
     streams = _substreams(seed, n)
     rows = (ds.query, *ds.objects)
     n_t = len(ds.timestamps)
-    masks = {o.id: np.zeros(n, dtype=np.uint64) for o in ds.objects}
+    won = {o.id: {t: set() for t in ds.timestamps} for o in ds.objects}
     for b, t in enumerate(ds.timestamps):
         picks = []
         for r, tr in enumerate(rows):
@@ -269,19 +284,22 @@ def reference_bitmap(ds, n, seed):
                 range(len(ds.objects)),
                 key=lambda o: (euclidean_distance(picks[0][i], picks[o + 1][i]), ds.objects[o].id),
             )
-            masks[ds.objects[win].id][i] |= np.uint64(1 << b)
-    return masks
+            won[ds.objects[win].id][t].add(i)
+    return won
+
+
+def samples_of(tidsets):
+    """The sample indices of each object's tidset per timestamp."""
+    return {oid: {t: {i for i in range(tid.bit_length()) if tid >> i & 1} for t, tid in per.items()}
+            for oid, per in tidsets.items()}
 
 
 class TestSampledBitmap:
     @pytest.mark.parametrize("seed", range(6))
     def test_bitmap_matches_a_per_sample_loop(self, seed):
         ds = grid_dataset(np.random.default_rng(seed))
-        got = SampledTrajectoryBackend(ds, 300, seed=seed).masks
-        expected = reference_bitmap(ds, 300, seed)
-        assert list(got) == list(expected)
-        for oid in expected:
-            assert np.array_equal(got[oid], expected[oid]), oid
+        got = SampledTrajectoryBackend(ds, 300, seed=seed).tidsets
+        assert samples_of(got) == reference_bitmap(ds, 300, seed)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_beyond_the_reach_bound_are_not_drawn(self, seed, monkeypatch):
@@ -293,13 +311,54 @@ class TestSampledBitmap:
             return _branches(table, j, u)
 
         monkeypatch.setattr(trajectories, "_branches", counting_branches)
-        got = SampledTrajectoryBackend(ds, 300, seed=seed).masks
-        expected = reference_bitmap(ds, 300, seed)
-        assert list(got) == list(expected)
-        for oid in expected:
-            assert np.array_equal(got[oid], expected[oid]), oid
-        assert np.any(got["a"])  # "a" wins its ties at the bound
+        got = SampledTrajectoryBackend(ds, 300, seed=seed).tidsets
+        assert samples_of(got) == reference_bitmap(ds, 300, seed)
+        assert any(got["a"].values())  # "a" wins its ties at the bound
         assert len(drawn) < (len(ds.objects) + 1) * len(ds.timestamps)
+
+
+def dataset_json(ds):
+    """A trajectory dataset in the JSON format ``loads_trajectory_dataset`` reads."""
+
+    def record(tr):
+        return {"id": tr.id, "per_timestamp": {
+            str(t): [{"x": x, "y": y, "p": p} for (x, y), p in alts]
+            for t, alts in tr.per_timestamp.items()}}
+
+    return json.dumps({"timestamps": list(ds.timestamps), "query": record(ds.query),
+                       "objects": [record(o) for o in ds.objects]})
+
+
+def long_dataset():
+    """70 grid timestamps, past a 64-bit word; o0 surely wins at 64 and 69."""
+    return grid_dataset(np.random.default_rng(70), n_t=70, n_obj=3, sure=(64, 69))
+
+
+class TestManyTimestamps:
+    """The sampled backend takes any number of timestamps."""
+
+    def test_pfann_counts_the_covering_samples(self):
+        ds = long_dataset()
+        n = 200
+        sampled = SampledTrajectoryBackend(ds, n, seed=4)
+        won = reference_bitmap(ds, n, 4)
+        late = [(63,), (64,), (69,), (0, 63), (62, 63, 64, 65), (64, 69), tuple(range(60, 70)),
+                ds.timestamps]
+        for oid in ds.object_ids:
+            for sub in late:
+                covering = set(range(n)).intersection(*(won[oid][t] for t in sub))
+                assert sampled.pfann(oid, sub) == len(covering) / n, (oid, sub)
+        assert sampled.pfann("o0", (64, 69)) == 1.0
+
+    def test_cli_answers(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(dataset_json(long_dataset()))
+        code = main(["pcnn", "--dataset", str(path), "--tau", "0.9", "--backend", "sampled",
+                     "--samples", "500", "--object", "o0"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        sets = json.loads(out)["results"]["o0"]
+        assert {"timestamps": [64, 69], "p": 1} in sets
 
 
 class TestLattice:
