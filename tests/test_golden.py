@@ -151,6 +151,38 @@ def _shadow_cases():
     ]
 
 
+#: Sampled nearest-neighbour cases (the k = 1 draw path): kNN with k = 1 in both
+#: semantics, top-k over 1-NN and representatives over 1-NN results, each by a point and
+#: by a query object, on the spatial fixtures, the tie and mass edges and the clustered
+#: database; then sampled pcnn on ``pcnn_wide.json``, whose query has two alternatives.
+NN1_FIXTURES = [(path, spec["point"], spec["obj"]) for path, spec in FIXTURES.items()] + [
+    ("fixtures/knn_edges.json", ("0", "0"), "Q"),
+    ("fixtures/clustered_demo.json", ("600", "450"), "o00032"),
+]
+
+
+def _nn1_cases():
+    cases = []
+    for path, (x, y), obj in NN1_FIXTURES:
+        base = ["--dataset", path]
+        for q in (["--query-x", x, "--query-y", y], ["--query-object", obj]):
+            cases += [
+                ["knn"] + base + q + ["--k", "1", "--semantics", semantics] + _backend("sampled")
+                for semantics in ("object", "result")
+            ]
+            cases += [
+                ["topk"] + base + q + ["--k", "2", "--nn", "1"] + _backend("sampled"),
+                ["reps"] + base + q + ["--nn", "1", "--samples", "3000", "--tau", "0.3"],
+                ["reps"] + base + q + ["--nn", "1", "--samples", "997", "--method", "cluster"],
+            ]
+    wide = ["pcnn", "--dataset", "fixtures/pcnn_wide.json", "--backend", "sampled"]
+    cases += [
+        wide + ["--tau", "0.02", "--samples", "3000", "--seed", "3"],
+        wide + ["--tau", "0.05", "--samples", "997", "--maximal"],
+    ]
+    return cases
+
+
 def _other_cases():
     consensus = ["--dataset", "fixtures/consensus_demo.json"]
     knn = ["--dataset", "fixtures/knn_demo.json", "--query-x", "0", "--query-y", "0"]
@@ -220,7 +252,8 @@ def _other_cases():
         ["knn"] + worlds + ["--query-x", "0", "--query-y", "0", "--k", "1", "--backend", "bogus"],
     ]
     return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors,
-            "clustered": _clustered_cases(), "edges": _edge_cases(), "shadow": _shadow_cases()}
+            "clustered": _clustered_cases(), "edges": _edge_cases(), "shadow": _shadow_cases(),
+            "nn1": _nn1_cases()}
 
 
 def all_cases():
