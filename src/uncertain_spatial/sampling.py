@@ -73,14 +73,23 @@ def _branches(table: InstanceTable, j: int, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _draw(table: InstanceTable, j: int, streams: np.ndarray, counter: int) -> np.ndarray:
+    """Row j's branch per stream at draw ``counter``.  A draw depends only on (stream,
+    counter), so drawing a row in some of the samples gives the full draw there.  A
+    certain one-instance row is 0 in every world and is not drawn."""
+    if table.certain[j] and table.first[j + 1] - table.first[j] == 1:
+        return np.zeros(len(streams), dtype=np.int64)
+    return _branches(table, j, _uniforms(streams, counter))
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """A multiset of n independently sampled possible worlds.
 
     Object j's column (its branch in every sample) is drawn on demand by
-    ``column(j)``; since a column depends only on (seed, sample index, j),
-    a query that reads a few columns sees exactly the worlds that drawing
-    every column would give.
+    ``column(j)``, with draw counter j; since a column depends only on (seed,
+    sample index, j), a query that reads a few columns, or a column in a few
+    samples, sees exactly the worlds that drawing every column would give.
     """
 
     db: UncertainDatabase
@@ -96,7 +105,7 @@ class SampleSet:
 
     def column(self, j: int) -> np.ndarray:
         """Instance index drawn for object j (database order) per sample; -1 when absent."""
-        return _branches(self.db.table, j, _uniforms(self._streams, j))
+        return _draw(self.db.table, j, self._streams, j)
 
     @cached_property
     def choices(self) -> np.ndarray:
@@ -133,19 +142,26 @@ def sample_worlds(db: UncertainDatabase, n: int, seed: int = DEFAULT_SEED) -> Sa
     return SampleSet(db=db, seed=seed, n=n)
 
 
-def _sampled_members(table: InstanceTable, q_row, q_positions, column, n: int, predicate):
+def _sampled_members(table: InstanceTable, q_row, q_positions, streams, counters, predicate):
     """Boolean membership per (sample, row) of ``table``, columns in id order.
 
-    ``column(j)`` draws row j's branch (an instance index, or -1 when absent) in each of
-    the n samples; ``q_row`` is the query's own row (``None`` for a point) and
-    ``q_positions`` its instance positions.  Only rows that are members in some world are
-    drawn; the others stay all-False.  For kNN, ``bound`` is the k-th smallest farthest
-    distance of a certainly-existing row, so every world has k rows within it: a row always
-    farther than ``bound`` is never a member and never ranks ahead of one, and ranks among
-    the kept columns equal ranks among all of them.  Distance ties go to the lower id rank.
+    Row j's branch (an instance index, or -1 when absent) in sample i is drawn from
+    ``streams[i]`` with draw counter ``counters[j]``; ``q_row`` is the query's own row
+    (``None`` for a point) and ``q_positions`` its instance positions.  Only rows that are
+    members in some world are drawn; the others stay all-False.  For kNN, ``bound`` is the
+    k-th smallest farthest distance of a certainly-existing row, so every world has k rows
+    within it: a row always farther than ``bound`` is never a member and never ranks ahead
+    of one, and ranks among the kept columns equal ranks among all of them.  Distance ties
+    go to the lower id rank.
+
+    For k = 1 the kept rows are walked nearest-first by ``near``, their nearest possible
+    distance, each drawn only in the samples still undecided; a sample leaves the walk once
+    its nearest drawn distance is strictly below the next row's ``near``, since no later row
+    can come closer or tie it.  Otherwise every kept row is drawn in every sample.
 
     Returns (member matrix, the rows of its columns).
     """
+    n = len(streams)
     cols = [j for j in np.argsort(table.id_rank).tolist() if j != q_row]
     inst_dist = distance_matrix(q_positions, table.positions)  # per (query position, instance)
     near = np.minimum.reduceat(inst_dist.min(axis=0), table.first[:-1])
@@ -160,23 +176,52 @@ def _sampled_members(table: InstanceTable, q_row, q_positions, column, n: int, p
         raise ValidationError(f"unsupported spatial predicate {predicate!r}")
     keep = [c for c, j in enumerate(cols) if near[j] <= bound]
 
-    q_idx = np.zeros(n, dtype=np.int64) if q_row is None else column(q_row)
+    # a one-position query reads row 0 of inst_dist; otherwise its draw per sample
+    q_idx = None if len(inst_dist) == 1 else _draw(table, q_row, streams, counters[q_row])
+
+    def distances(c, s):
+        """Kept column c's drawn distance in samples ``s`` (indices or a slice); inf when absent."""
+        j = cols[c]
+        idx = _draw(table, j, streams[s], counters[j])
+        if q_idx is None:
+            d = inst_dist[0, table.first[j]:table.first[j + 1]][idx]
+        else:
+            d = inst_dist[q_idx[s], table.first[j] + idx]
+        return d if table.certain[j] else np.where(idx < 0, np.inf, d)
+
+    member = np.zeros((n, len(cols)), dtype=bool)
+    if isinstance(predicate, KnnPredicate) and predicate.k == 1:
+        walk = sorted(keep, key=lambda c: near[cols[c]])  # stable: equal near in id order
+        win = np.full(n, -1)  # per sample, the column nearest so far; -1 while none is present
+        live, best = np.arange(n), np.full(n, np.inf)  # undecided samples, their best distance
+        for step, c in enumerate(walk):
+            d = distances(c, live)
+            take = d < best
+            tie = d == best
+            if tie.any():  # an absent draw ties only where none is present, and -1 < c
+                take |= tie & (win[live] > c)
+            win[live[take]] = c
+            if step + 1 == len(walk):
+                break
+            best = np.minimum(best, d)
+            stay = best >= near[cols[walk[step + 1]]]
+            live, best = live[stay], best[stay]
+            if not len(live):
+                break
+        hit = np.flatnonzero(win >= 0)
+        member[hit, win[hit]] = True
+        return member, cols
+
     dist = np.empty((n, len(keep)))
     for out_j, c in enumerate(keep):
-        idx = column(cols[c])
-        dist[:, out_j] = np.where(idx < 0, np.inf, inst_dist[q_idx, table.first[cols[c]] + idx])
+        dist[:, out_j] = distances(c, slice(None))
     if isinstance(predicate, RangePredicate):
         kept = dist <= predicate.epsilon
     else:
-        # a stable argsort of id-ordered columns is the tie rule: its first k present are
-        # members; for k = 1, argmin picks the same first minimum
-        if predicate.k == 1 and dist.shape[1]:
-            top = np.argmin(dist, axis=1)[:, None]
-        else:
-            top = np.argsort(dist, axis=1, kind="stable")[:, : predicate.k]
+        # a stable argsort of id-ordered columns is the tie rule: its first k present are members
+        top = np.argsort(dist, axis=1, kind="stable")[:, : predicate.k]
         kept = np.zeros(dist.shape, dtype=bool)
         np.put_along_axis(kept, top, np.take_along_axis(np.isfinite(dist), top, axis=1), axis=1)
-    member = np.zeros((n, len(cols)), dtype=bool)
     member[:, keep] = kept
     return member, cols
 
@@ -189,7 +234,8 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
         q_col, q_positions = None, [q.position]
     else:
         q_col, q_positions = db.index(q), [inst.position for inst in qobj.instances]
-    member, cols = _sampled_members(db.table, q_col, q_positions, X.column, len(X), predicate)
+    member, cols = _sampled_members(db.table, q_col, q_positions, X._streams, range(len(db)),
+                                    predicate)
     return member, [db.object_ids[j] for j in cols]
 
 

@@ -22,7 +22,8 @@ across timestamps, which is exact under the independence model.  The sampled
 backend shares one fixed sample set across the whole lattice, so estimated
 probabilities are anti-monotone by construction.  It draws and ranks each
 timestamp through the sampling module's 1-NN membership core, the one the
-spatial estimators use, so only objects that can be nearest are drawn.
+spatial estimators use, so an object is drawn only in the worlds where it can
+still be nearest.
 ``answer_pcnn`` is the one entry point over both.
 
 In the JSON format, timestamps are distinct integers, written as canonical
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -49,14 +51,7 @@ from .model import (
 )
 from .predicates import KnnPredicate
 from .queries import _closer_block, _object_knn, _query_mix
-from .sampling import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    _branches,
-    _sampled_members,
-    _substreams,
-    _uniforms,
-)
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, _sampled_members, _substreams
 
 #: Default cap on lattice candidates validated.
 DEFAULT_LATTICE_CAP = 10**6
@@ -258,9 +253,12 @@ class SampledTrajectoryBackend:
     """Monte-Carlo NN probabilities from one fixed shared sample set.
 
     At the b-th of T timestamps, row r of the instance table (the query is row 0)
-    draws its alternative in the n worlds with counter r * T + b.  Only rows that
-    can be nearest are drawn: a row always farther than some object's farthest
-    alternative never wins or ties, and skipping it moves no other row's counter.
+    draws its alternative with counter r * T + b.  A row is drawn only in the worlds
+    where it can still be nearest: rows are walked nearest first, and a world is
+    decided once its nearest drawn alternative is strictly closer than the next row
+    can come.  A row always farther than some object's farthest alternative is never
+    drawn, nor is a one-alternative row; a draw depends only on (seed, world, counter),
+    so what is skipped moves no other draw.
     ``tidsets[oid][t]`` is an n-bit int whose bit i is set when the object is the
     strict nearest neighbor of the query at timestamp t in world i, so per world and
     timestamp exactly one object's bit is set.  A set's estimate is the share of
@@ -288,9 +286,8 @@ class SampledTrajectoryBackend:
             table = ds.tables[t]
             # row r draws with counter r * n_t + b; the query is row 0; one nearest per sample
             member, rows = _sampled_members(
-                table, 0, table.positions[: table.first[1]],
-                lambda r: _branches(table, r, _uniforms(streams, r * n_t + b)),
-                self.n, KnnPredicate(1))
+                table, 0, table.positions[: table.first[1]], streams,
+                range(b, b + n_t * len(table.id_rank), n_t), KnnPredicate(1))
             hit = np.flatnonzero(member.any(axis=0))
             # bit i of a column packed little-endian is sample i
             packed = np.packbits(member[:, hit].T, axis=1, bitorder="little")
@@ -319,9 +316,10 @@ def pc_tau_nn(
 ) -> List[TimestampSet]:
     """All subsets of the query interval where the object's NN probability >= tau.
 
-    Level-wise Apriori search: the singletons are validated first, and a set
-    ``base + (t,)``, with t a later qualifying singleton, is validated only when
-    every one-smaller subset qualified.  A timestamp the object surely wins
+    Level-wise Apriori search: the singletons are validated first, and each next
+    level joins two qualifying sets that share all but their last timestamp into
+    ``base + (t,)`` (Agrawal and Srikant's prefix join), validated only when every
+    one-smaller subset qualified.  A timestamp the object surely wins
     needs no special case: its factor of 1.0 leaves every probability as it
     is.  At most ``lattice_cap`` sets are validated.  Results are sorted by
     size, then lexicographically.
@@ -352,16 +350,18 @@ def pc_tau_nn(
             if p >= tau:
                 found[cand] = p
         qualified.update(found)
-        singles = [t for t in domain if (t,) in qualified]
-        # the one-smaller subsets of base + (t,) are base and, per member of base, the rest
-        # of base with t
-        level = [
-            base + (t,)
-            for base in found
-            for t in singles
-            if t > base[-1]
-            and all(base[:i] + base[i + 1:] + (t,) in found for i in range(len(base)))
-        ]
+        # found sets come in lexicographic order, so those sharing all but their last
+        # timestamp are adjacent; joining two gives base + (t,), two of whose one-smaller
+        # subsets are the pair itself; the rest drop one of base's first len(base) - 1
+        level = []
+        for _, group in groupby(found, key=lambda s: s[:-1]):
+            group = list(group)
+            for i, base in enumerate(group):
+                for other in group[i + 1:]:
+                    t = other[-1]
+                    if all(base[:d] + base[d + 1:] + (t,) in found
+                           for d in range(len(base) - 1)):
+                        level.append(base + (t,))
     return [TimestampSet(timestamps=ts, probability=p) for ts, p in qualified.items()]
 
 

@@ -201,9 +201,11 @@ class TestJaccardDistance:
 
 
 class TestNearestMember:
-    def test_argmin_matches_the_stable_argsort(self):
-        """For k = 1 the first minimum of each row is the member the stable argsort ranks
-        first: on grid ties, with absent draws and with rows that are never drawn."""
+    def test_nearest_first_walk_matches_the_stable_argsort(self):
+        """For k = 1 the nearest-first walk picks, per sample, the member a stable argsort of
+        fully drawn id-ordered columns ranks first: by a point or a multi-instance query
+        object, on grid ties, with absent draws, certain one-instance rows and rows that are
+        never drawn, at 1, 7 and 64 samples."""
         def by_stable_argsort(table, q_row, q_positions, column, n):
             cols = [j for j in np.argsort(table.id_rank).tolist() if j != q_row]
             inst_dist = distance_matrix(q_positions, table.positions)
@@ -219,7 +221,8 @@ class TestNearestMember:
             return member, cols
 
         rng = np.random.default_rng(17)
-        for _ in range(40):
+        kinds = set()
+        for _ in range(60):
             objects = []
             for i in rng.permutation(int(rng.integers(1, 9))).tolist():
                 m = int(rng.integers(1, 4))
@@ -227,9 +230,18 @@ class TestNearestMember:
                 specs = [(rng.integers(0, 3), rng.integers(0, 3), scale / m) for _ in range(m)]
                 objects.append(make_object(f"O{i}", specs))
             db = UncertainDatabase(tuple(objects))
-            X = sample_worlds(db, 64, seed=int(rng.integers(1 << 30)))
-            query = [(float(rng.integers(0, 3)), float(rng.integers(0, 3)))]
-            got = _sampled_members(db.table, None, query, X.column, len(X), KnnPredicate(1))
-            want = by_stable_argsort(db.table, None, query, X.column, len(X))
-            assert got[1] == want[1]
-            assert np.array_equal(got[0], want[0])
+            queries = [(None, [(float(rng.integers(0, 3)), float(rng.integers(0, 3)))])]
+            certain = [j for j, obj in enumerate(db.objects) if not obj.is_existentially_uncertain]
+            if certain:
+                j = int(rng.choice(certain))
+                queries.append((j, [inst.position for inst in db.objects[j].instances]))
+            for n in (1, 7, 64):
+                X = sample_worlds(db, n, seed=int(rng.integers(1 << 30)))
+                for q_row, positions in queries:
+                    kinds.add((q_row is None, len(positions) > 1, n))
+                    got = _sampled_members(db.table, q_row, positions, X._streams,
+                                           range(len(db)), KnnPredicate(1))
+                    want = by_stable_argsort(db.table, q_row, positions, X.column, n)
+                    assert got[1] == want[1]
+                    assert np.array_equal(got[0], want[0])
+        assert {(False, True, n) for n in (1, 7, 64)} <= kinds  # multi-instance query objects

@@ -21,7 +21,7 @@ from uncertain_spatial import (
     pcnn_query,
 )
 
-from uncertain_spatial import trajectories
+from uncertain_spatial import sampling
 from uncertain_spatial.cli import main
 from uncertain_spatial.sampling import _branches, _substreams, _uniforms
 
@@ -304,17 +304,25 @@ class TestSampledBitmap:
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_beyond_the_reach_bound_are_not_drawn(self, seed, monkeypatch):
         ds = pruned_grid_dataset(np.random.default_rng(seed))
-        drawn = []
+        drawn = []  # (timestamp, trajectory, samples drawn) per draw
 
         def counting_branches(table, j, u):
-            drawn.append(j)
+            t = next(t for t, tab in ds.tables.items() if tab is table)
+            drawn.append((t, (ds.query, *ds.objects)[j], len(u)))
             return _branches(table, j, u)
 
-        monkeypatch.setattr(trajectories, "_branches", counting_branches)
-        got = SampledTrajectoryBackend(ds, 300, seed=seed).tidsets
-        assert samples_of(got) == reference_bitmap(ds, 300, seed)
+        monkeypatch.setattr(sampling, "_branches", counting_branches)
+        n = 300
+        got = SampledTrajectoryBackend(ds, n, seed=seed).tidsets
+        assert samples_of(got) == reference_bitmap(ds, n, seed)
         assert any(got["a"].values())  # "a" wins its ties at the bound
-        assert len(drawn) < (len(ds.objects) + 1) * len(ds.timestamps)
+        rows = (len(ds.objects) + 1) * len(ds.timestamps)
+        assert len(drawn) < rows
+        # a certain one-instance row (the query, "m") is 0 in every world: never drawn
+        assert all(len(tr.per_timestamp[t]) > 1 for t, tr, _ in drawn)
+        # the nearest-first walk draws a row only in the samples it can still win, so some
+        # drawn row is drawn in fewer than all n
+        assert sum(size for _, _, size in drawn) < len(drawn) * n
 
 
 def dataset_json(ds):
@@ -482,6 +490,46 @@ class TestLattice:
         assert again == res
         with pytest.raises(CapExceededError, match="lattice exceeded"):
             pc_tau_nn(demo_dataset, "o1", demo_dataset.timestamps, 0.5, lattice_cap=calls - 1)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.2])
+    def test_prefix_join_validates_the_singles_scan_candidates_in_order(self, tau):
+        """The prefix join validates the same candidates in the same order as a scan that
+        extends each qualifying set by every later qualifying singleton, so the lattice cap
+        fires at the same set."""
+
+        def singles_scan(backend, oid, domain):
+            validated, qualified = [], {}
+            level = [(t,) for t in domain]
+            while level:
+                found = {}
+                for cand in level:
+                    validated.append(cand)
+                    p = backend.pfann(oid, cand)
+                    if p >= tau:
+                        found[cand] = p
+                qualified.update(found)
+                singles = [t for t in domain if (t,) in qualified]
+                level = [
+                    base + (t,)
+                    for base in found
+                    for t in singles
+                    if t > base[-1]
+                    and all(base[:i] + base[i + 1:] + (t,) in found for i in range(len(base)))
+                ]
+            return validated
+
+        class Recording(SampledTrajectoryBackend):
+            def pfann(self, object_id, timestamps):
+                self.validated.append(tuple(timestamps))
+                return super().pfann(object_id, timestamps)
+
+        with open(FIXTURES / "pcnn_shadow.json", "rb") as fh:
+            ds = loads_trajectory_dataset(fh.read())
+        backend, plain = Recording(ds, 997, seed=42), SampledTrajectoryBackend(ds, 997, seed=42)
+        for oid in ds.object_ids:
+            backend.validated = []
+            pc_tau_nn(ds, oid, ds.timestamps, tau, backend)
+            assert backend.validated == singles_scan(plain, oid, ds.timestamps), oid
 
 
 class TestPcnnQuery:
