@@ -189,7 +189,6 @@ def _sampled_members(table: InstanceTable, q_row, q_positions, streams, counters
             d = inst_dist[q_idx[s], table.first[j] + idx]
         return d if table.certain[j] else np.where(idx < 0, np.inf, d)
 
-    member = np.zeros((n, len(cols)), dtype=bool)
     if isinstance(predicate, KnnPredicate) and predicate.k == 1:
         walk = sorted(keep, key=lambda c: near[cols[c]])  # stable: equal near in id order
         win = np.full(n, -1)  # per sample, the column nearest so far; -1 while none is present
@@ -208,6 +207,7 @@ def _sampled_members(table: InstanceTable, q_row, q_positions, streams, counters
             live, best = live[stay], best[stay]
             if not len(live):
                 break
+        member = np.zeros((n, len(cols)), dtype=bool)
         hit = np.flatnonzero(win >= 0)
         member[hit, win[hit]] = True
         return member, cols
@@ -222,6 +222,7 @@ def _sampled_members(table: InstanceTable, q_row, q_positions, streams, counters
         top = np.argsort(dist, axis=1, kind="stable")[:, : predicate.k]
         kept = np.zeros(dist.shape, dtype=bool)
         np.put_along_axis(kept, top, np.take_along_axis(np.isfinite(dist), top, axis=1), axis=1)
+    member = np.zeros((n, len(cols)), dtype=bool)
     member[:, keep] = kept
     return member, cols
 
