@@ -197,7 +197,7 @@ def _sampled_members(table: InstanceTable, q_row, q_positions, streams, counters
             d = distances(c, live)
             take = d < best
             tie = d == best
-            if tie.any():  # an absent draw ties only where none is present, and -1 < c
+            if tie.any():  # to the lower column; an absent draw ties only where win is -1
                 take |= tie & (win[live] > c)
             win[live[take]] = c
             if step + 1 == len(walk):
