@@ -227,13 +227,13 @@ def _object_sums(prob: np.ndarray, owner: np.ndarray, first: np.ndarray) -> np.n
     m·eps·sum of the exact sum (Higham, Accuracy and Stability of Numerical
     Algorithms, §4.2).  Where that bound reaches 1 - PROB_TOL or 1 + PROB_TOL,
     ``math.fsum`` gives the sum instead, so comparisons with either edge decide
-    as ``math.fsum`` would.
+    as ``math.fsum`` would.  Each probability lies in (0, 1 + PROB_TOL], as the loader's
+    screens and the constructors ensure, so no sum overflows.
     """
     sizes = np.diff(first)
     sums = np.bincount(owner, weights=prob, minlength=len(sizes))
     slack = sizes * np.finfo(float).eps * np.maximum(sums, 1.0)
     near = (np.abs(sums - (1.0 - PROB_TOL)) <= slack) | (np.abs(sums - (1.0 + PROB_TOL)) <= slack)
-    near &= np.isfinite(sums)  # an overflowed sum is far from both edges, and fsum would raise
     for j in np.flatnonzero(near).tolist():
         sums[j] = math.fsum(prob[first[j] : first[j + 1]].tolist())
     return sums
@@ -357,8 +357,8 @@ _XYP = operator.itemgetter("x", "y", "p")
 def _object_from_record(rec) -> UncertainObject:
     """One parsed object record as a validated object, instance by instance.
 
-    The loader runs it on the first record that fails its checks, to raise the error
-    the record gives when the records are read one at a time in file order.
+    The loader re-reads a file with it when any screen flags the file, so that the first
+    failing record, in file order, raises its own message.
     """
     try:
         oid = rec["id"]
@@ -379,68 +379,54 @@ def _object_from_record(rec) -> UncertainObject:
     return UncertainObject(id=oid, instances=tuple(instances))
 
 
-def _first_malformed(instances: list) -> int:
-    """Index of the first instance record that ``json_xyp`` rejects."""
-    for i, inst in enumerate(instances):
-        try:
-            json_xyp(inst)
-        except (KeyError, TypeError, OverflowError):
-            return i
+def _screened(records: list) -> "Optional[tuple[tuple[str, ...], InstanceTable]]":
+    """The ids and instance table of the records, or ``None`` when any screen flags them.
 
-
-def _check_values(ids: Sequence[str], table: InstanceTable) -> None:
-    """Raise the error of the first object, in database order, holding an invalid value.
-
-    Vector screens flag non-finite coordinates, probabilities outside (0, 1 + PROB_TOL],
-    empty objects and sums above 1 + PROB_TOL; the flagged object is then built by the
-    constructors, which raise their own message.
+    One pass over the records checks their fields and collects ids, instance counts and
+    the raw ``x``, ``y``, ``p`` values; vector screens then flag a value that is not a
+    JSON number, a non-finite coordinate, a probability outside (0, 1 + PROB_TOL], an
+    empty object and a probability sum above 1 + PROB_TOL.
     """
-    bad = ~np.isfinite(table.positions).all(axis=1) | ~(table.prob > 0.0)
-    bad |= table.prob > 1.0 + PROB_TOL
-    flagged = (np.diff(table.first) == 0) | (
-        _object_sums(table.prob, table.owner, table.first) > 1.0 + PROB_TOL
-    )
-    flagged[table.owner[bad]] = True
-    for j in np.flatnonzero(flagged).tolist():
-        table.object(j, ids[j])
-
-
-def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
-    """Build a validated database from parsed JSON object records, straight into its table.
-
-    One pass over the records collects ids, instance counts and the raw ``x``, ``y``,
-    ``p`` values, checking fields; vector checks then check types and values.  Errors
-    come as reading the records one at a time in file order would give them: the first
-    failing record raises its own message, and duplicate ids are checked last.
-    """
-    records = list(objects)
     ids, sizes, instances = [], [], []
     for rec in records:
         try:
             oid, raw = rec["id"], rec["instances"]
         except (KeyError, TypeError):
-            break
+            return None
         if not isinstance(oid, str) or not isinstance(raw, list):
-            break
+            return None
         ids.append(oid)
         sizes.append(len(raw))
         instances += raw
     try:
         values = list(chain.from_iterable(map(_XYP, instances)))
         if not _NUMBER_TYPES.issuperset(map(type, values)):
-            raise TypeError("a value is not a JSON number")
+            return None
         xyp = np.array(values, dtype=float).reshape(-1, 3)
     except (KeyError, TypeError, OverflowError):
-        bad = _first_malformed(instances)
-        del ids[int(np.searchsorted(np.cumsum(sizes), bad, side="right")) :]
-        del sizes[len(ids) :]
-        xyp = np.array([json_xyp(inst) for inst in instances[: sum(sizes)]], dtype=float)
-        xyp = xyp.reshape(-1, 3)
-    table = InstanceTable.from_arrays(ids, xyp[:, :2].copy(), xyp[:, 2].copy(), sizes)
-    _check_values(ids, table)
-    if len(ids) < len(records):
-        _object_from_record(records[len(ids)])  # raises: the record failed a check above
-    return UncertainDatabase.from_table(tuple(ids), table)
+        return None
+    positions, prob = xyp[:, :2].copy(), xyp[:, 2].copy()
+    in_range = np.isfinite(positions).all() and ((prob > 0.0) & (prob <= 1.0 + PROB_TOL)).all()
+    if not (in_range and all(sizes)):
+        return None
+    table = InstanceTable.from_arrays(ids, positions, prob, sizes)
+    if (_object_sums(prob, table.owner, table.first) > 1.0 + PROB_TOL).any():
+        return None
+    return tuple(ids), table
+
+
+def database_from_dicts(objects: Iterable[dict]) -> UncertainDatabase:
+    """Build a validated database from parsed JSON object records, straight into its table.
+
+    Records that pass every screen of ``_screened`` fill the table directly.  Records that
+    any screen flags are re-read one at a time in file order by ``_object_from_record``:
+    the first failing record raises its own message, and duplicate ids are checked last.
+    """
+    records = list(objects)
+    screened = _screened(records)
+    if screened is None:
+        return UncertainDatabase(map(_object_from_record, records))
+    return UncertainDatabase.from_table(*screened)
 
 
 def parse_json(text: Union[str, bytes], what: str):

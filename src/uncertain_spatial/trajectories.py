@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, IO, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -132,17 +132,12 @@ class TrajectoryDataset:
                 for t in self.timestamps}
 
 
-@dataclass(frozen=True)
-class TimestampSet:
-    """A qualifying subset of the query interval with its all-timestamps NN probability."""
+class TimestampSet(NamedTuple):
+    """A qualifying subset of the query interval, its timestamps ascending, with its
+    all-timestamps NN probability."""
 
     timestamps: "tuple[int, ...]"
     probability: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "timestamps", tuple(sorted(self.timestamps)))
-        if not self.timestamps:
-            raise ValidationError("timestamp set must be non-empty")
 
 
 def _parse_trajectory(record) -> UncertainTrajectory:
@@ -362,7 +357,7 @@ def pc_tau_nn(
                     if all(base[:d] + base[d + 1:] + (t,) in found
                            for d in range(len(base) - 1)):
                         level.append(base + (t,))
-    return [TimestampSet(timestamps=ts, probability=p) for ts, p in qualified.items()]
+    return list(map(TimestampSet._make, qualified.items()))
 
 
 def pcnn_query(

@@ -15,9 +15,10 @@ from uncertain_spatial import (
     loads_database,
 )
 
+from uncertain_spatial import model
 from uncertain_spatial.model import PROB_TOL, InstanceTable, distance_matrix, parse_json
 
-from conftest import make_object, random_db
+from conftest import FIXTURES, make_object, random_db
 
 
 class TestLoading:
@@ -79,6 +80,17 @@ class TestLoading:
     def test_empty_instances_rejected(self):
         with pytest.raises(ValidationError):
             loads_database('{"objects":[{"id":"E","instances":[]}]}')
+
+    @pytest.mark.parametrize("name", ["worlds_demo.json", "range_demo.json", "clustered_demo.json"])
+    def test_flagged_valid_file_is_reread_into_the_same_database(self, name, monkeypatch):
+        """When a screen flags records that the per-record reader accepts, the re-read
+        builds the database the screened path builds."""
+        records = json.loads((FIXTURES / name).read_text())["objects"]
+        screened = model.database_from_dicts(records)
+        monkeypatch.setattr(model, "_screened", lambda records: None)
+        reread = model.database_from_dicts(records)
+        assert reread.object_ids == screened.object_ids
+        assert reread.table == screened.table
 
 
 class TestParseJson:

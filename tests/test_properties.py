@@ -5,10 +5,12 @@ loops that visit every trial and instance one at a time, the truncated kNN fold 
 per-instance kernel path it replaced, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
-exact trajectory backend against the kNN engine and the oracle, the sampled one against a
-per-sample loop, PAM, the weighted silhouette and the auto-k choice against the one-candidate
-loops they replaced, and the one-pass JSON writer against the item-by-item one."""
+exact trajectory backend against the kNN engine and the oracle, both backends and the lattice
+over timestamp sets against an enumeration of the joint trajectory worlds, the sampled one
+against a per-sample loop, PAM, the weighted silhouette and the auto-k choice against the
+one-candidate loops they replaced, and the one-pass JSON writer against the item-by-item one."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -59,6 +61,7 @@ from uncertain_spatial.trajectories import (  # noqa: E402
     TrajectoryDataset,
     UncertainTrajectory,
     maximal_timestamp_sets,
+    pc_tau_nn,
 )
 
 from conftest import make_object  # noqa: E402
@@ -546,21 +549,22 @@ def _surely_wins(ds, object_id, t):
 
 
 @st.composite
-def trajectory_datasets(draw):
-    """Up to four objects over up to three timestamps on a 5x5 grid, 1-3 alternatives each,
-    ids out of database order, so distance ties and id tie-breaks are common."""
+def trajectory_datasets(draw, max_objects=4, max_alts=3):
+    """Up to ``max_objects`` objects over up to three timestamps on a 5x5 grid, 1 to
+    ``max_alts`` alternatives each, ids out of database order, so distance ties and id
+    tie-breaks are common."""
     n_t = draw(st.integers(1, 3))
 
     def trajectory(tid):
         per = {}
         for t in range(n_t):
-            weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+            weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_alts))
             per[t] = tuple(
                 ((float(draw(GRID)), float(draw(GRID))), w / sum(weights)) for w in weights
             )
         return UncertainTrajectory(id=tid, per_timestamp=per)
 
-    ids = draw(st.permutations([f"o{i}" for i in range(draw(st.integers(1, 4)))]))
+    ids = draw(st.permutations([f"o{i}" for i in range(draw(st.integers(1, max_objects)))]))
     return TrajectoryDataset(
         timestamps=tuple(range(n_t)), query=trajectory("q"), objects=tuple(map(trajectory, ids))
     )
@@ -597,6 +601,73 @@ def test_exact_trajectory_wins_are_the_knn_engine(ds):
             else:
                 assert win == knn_object_probability(db, "q", 1, oid)
             assert abs(win - oracle[oid]) <= 1e-12
+
+
+def _trajectory_oracle(ds):
+    """Per (object, timestamp set), its P(nearest at every timestamp of the set) and whether
+    that held in every world or in none.
+
+    Each set's worlds are the joint alternatives of every trajectory, the query included, at
+    the set's timestamps; a world's probability is the product of its alternatives'.  Distance
+    ties go to the lower id.
+    """
+    rows = (ds.query, *ds.objects)
+    oracle = {}
+    for size in range(1, len(ds.timestamps) + 1):
+        for subset in itertools.combinations(ds.timestamps, size):
+            won = {oid: [] for oid in ds.object_ids}
+            worlds = 0
+            for world in itertools.product(*(tr.per_timestamp[t] for t in subset for tr in rows)):
+                worlds += 1
+                winners = set()
+                for b in range(size):
+                    (q, _), *alts = world[b * len(rows) : (b + 1) * len(rows)]
+                    nearest = min(zip(alts, ds.object_ids),
+                                  key=lambda alt: (euclidean_distance(q, alt[0][0]), alt[1]))
+                    winners.add(nearest[1])
+                if len(winners) == 1:
+                    won[winners.pop()].append(math.prod(p for _, p in world))
+            for oid, weights in won.items():
+                oracle[oid, subset] = (math.fsum(weights), len(weights) == worlds, not weights)
+    return oracle
+
+
+TAUS = st.floats(0.01, 1.0) | st.sampled_from((0.25, 0.5, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trajectory_datasets(max_objects=3, max_alts=2), TAUS)
+def test_exact_pfann_and_pcnn_match_the_trajectory_oracle(ds, tau):
+    """Over timestamp sets of one to three timestamps, exact ``pfann`` lies within 1e-12 of
+    the enumerated joint worlds, and ``pc_tau_nn`` returns exactly the sets the oracle
+    qualifies, in size-then-lexicographic order, unless an oracle value lies within 1e-9 of
+    tau."""
+    oracle = _trajectory_oracle(ds)
+    backend = ExactTrajectoryBackend(ds)
+    for oid in ds.object_ids:
+        values = {sub: v for (o, sub), (v, _, _) in oracle.items() if o == oid}
+        for sub, value in values.items():
+            assert abs(backend.pfann(oid, sub) - value) <= 1e-12
+        if all(abs(v - tau) > 1e-9 for v in values.values()):
+            found = pc_tau_nn(ds, oid, ds.timestamps, tau, backend)
+            want = sorted((sub for sub, v in values.items() if v >= tau), key=lambda s: (len(s), s))
+            assert [ts.timestamps for ts in found] == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trajectory_datasets(max_objects=3, max_alts=2), st.integers(0, 2**32 - 1))
+def test_sampled_pfann_matches_the_trajectory_oracle(ds, seed):
+    """Sampled ``pfann`` over 2,000 worlds lies within 4 binomial standard errors of the
+    enumerated joint worlds, and equals 1.0 or 0.0 where the object wins in every world or
+    in none.  Derandomized, so that the bound is checked on a fixed set of cases."""
+    n = 2000
+    backend = SampledTrajectoryBackend(ds, n, seed=seed)
+    for (oid, sub), (value, always, never) in _trajectory_oracle(ds).items():
+        estimate = backend.pfann(oid, sub)
+        if always or never:
+            assert estimate == (1.0 if always else 0.0)
+        else:
+            assert abs(estimate - value) <= 4 * math.sqrt(value * (1 - value) / n)
 
 
 @settings(max_examples=80, deadline=None)
