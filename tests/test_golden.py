@@ -183,6 +183,39 @@ def _nn1_cases():
     return cases
 
 
+#: pcnn over the four trajectory fixtures, exact and sampled, over all objects and one,
+#: with and without ``--maximal``.  At tau 0.3 every singleton of ``o1`` in
+#: ``pcnn_certain.json`` qualifies and so does the whole domain (p = 0.35); at tau 0.5 the
+#: whole domain fails.  Large shadow outputs are kept to ``--maximal`` or one object.
+LATTICE_FIXTURES = {
+    "fixtures/pcnn_demo.json": ("o1", ("0.02", "0.1", "0.4", "0.5")),
+    "fixtures/pcnn_certain.json": ("o1", ("0.02", "0.1", "0.3", "0.5", "1")),
+    "fixtures/pcnn_wide.json": ("o03", ("0.02", "0.1", "0.3", "0.5")),
+}
+SHADOW_LATTICE = [
+    ["--tau", "0.02", "--maximal"],
+    ["--tau", "0.1", "--maximal"],
+    ["--tau", "0.5"],
+    ["--tau", "0.1", "--object", "c03"],
+    ["--tau", "0.02", "--object", "c00", "--maximal"],
+    ["--tau", "0.2", "--object", "c00"],
+]
+LATTICE_BACKENDS = (["--backend", "exact"],
+                    ["--backend", "sampled", "--samples", "997", "--seed", "11"])
+
+
+def _lattice_cases():
+    cases = []
+    for backend in LATTICE_BACKENDS:
+        for path, (obj, taus) in LATTICE_FIXTURES.items():
+            for tau in taus:
+                for extra in ([], ["--maximal"], ["--object", obj], ["--object", obj, "--maximal"]):
+                    cases.append(["pcnn", "--dataset", path, "--tau", tau] + extra + backend)
+        cases += [["pcnn", "--dataset", "fixtures/pcnn_shadow.json"] + request + backend
+                  for request in SHADOW_LATTICE]
+    return cases
+
+
 def _other_cases():
     consensus = ["--dataset", "fixtures/consensus_demo.json"]
     knn = ["--dataset", "fixtures/knn_demo.json", "--query-x", "0", "--query-y", "0"]
@@ -253,7 +286,7 @@ def _other_cases():
     ]
     return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors,
             "clustered": _clustered_cases(), "edges": _edge_cases(), "shadow": _shadow_cases(),
-            "nn1": _nn1_cases()}
+            "nn1": _nn1_cases(), "lattice": _lattice_cases()}
 
 
 def all_cases():
