@@ -7,14 +7,17 @@ timestamp set T_i, for the probability that o is the strict nearest neighbor
 of the query trajectory at every timestamp of T_i (ties break by object id;
 the query is never a competitor).
 
-Because that probability is anti-monotone in T_i, all qualifying subsets of a
-query interval are found level-wise, Apriori style: only supersets whose
-(k-1)-subsets all qualified are ever validated.  Timestamps the object surely
-wins are searched like any other.
+Because that probability is anti-monotone in T_i, the qualifying subsets of a
+query interval are closed under subsets, and they are found depth first over
+prefix classes, as Eclat enumerates them: a qualifying set is extended only by
+the later timestamps that extend its own prefix, and ``--maximal`` looks ahead
+on a class's prefix with all its members, as GenMax does.  Timestamps the object
+surely wins are searched like any other.
 
 Each timestamp is a set of x-tuples, as in a spatial database: a dataset keeps
-one instance table per timestamp (the query as row 0), and both probability
-backends read only those tables.  The exact backend reads each timestamp as a
+one instance table per timestamp (the query as row 0), the loader fills those
+tables straight from the parsed records, and both probability backends read
+only them.  The exact backend reads each timestamp as a
 spatial database queried by the query trajectory's alternatives, so an object's
 win there is its 1-NN probability from the spatial kNN engine's one per-object
 kNN function (its closer masses, tie rule and truncated fold); wins multiply
@@ -35,17 +38,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain
 from typing import Dict, IO, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from .model import (
+    _NUMBER_TYPES,
+    _XYP,
     PROB_TOL,
     CapExceededError,
     InstanceTable,
     UncertainDatabase,
     ValidationError,
+    _object_sums,
     json_xyp,
     parse_json,
 )
@@ -91,45 +97,89 @@ class UncertainTrajectory:
         return tuple(sorted(self.per_timestamp))
 
 
-@dataclass(frozen=True)
 class TrajectoryDataset:
-    """A query trajectory plus candidate objects over a shared timestamp domain."""
+    """A query trajectory plus candidate objects over a shared timestamp domain.
 
-    timestamps: "tuple[int, ...]"
-    query: UncertainTrajectory
-    objects: "tuple[UncertainTrajectory, ...]"
+    A dataset is stored as one instance table per timestamp (``tables``): row 0 is the query,
+    rows 1.. the objects in dataset order, and ``row_ids`` names the rows.
+    ``TrajectoryDataset(timestamps, query, objects)`` checks the trajectories and builds the
+    tables from them on first use.  The loader builds a dataset straight from its tables, and
+    ``query``, ``objects`` and their ``per_timestamp`` are then built from the tables on first
+    use.  Datasets compare equal when their timestamps, ids and tables are equal.
+    """
 
-    def __post_init__(self):
-        domain = tuple(sorted(self.timestamps))
-        object.__setattr__(self, "timestamps", domain)
+    def __init__(self, timestamps: Iterable[int], query: UncertainTrajectory,
+                 objects: Iterable[UncertainTrajectory]):
+        domain = tuple(sorted(timestamps))
+        objects = tuple(objects)
         if not domain:
             raise ValidationError("trajectory dataset has no timestamps")
-        seen = {self.query.id}
-        for traj in self.objects:
+        seen = {query.id}
+        for traj in objects:
             if traj.id in seen:
                 raise ValidationError(f"duplicate trajectory id {traj.id!r}")
             seen.add(traj.id)
         repeated = sorted({a for a, b in zip(domain, domain[1:]) if a == b})
         if repeated:
             raise ValidationError(f"trajectory dataset repeats timestamps {repeated}")
-        for traj in (self.query, *self.objects):
+        for traj in (query, *objects):
             if traj.timestamps != domain:
                 raise ValidationError(
                     f"trajectory {traj.id!r} does not cover the shared timestamp domain"
                 )
+        self.timestamps = domain
+        self.row_ids = (query.id, *(traj.id for traj in objects))
+        self.query = query
+        self.objects = objects
+
+    @classmethod
+    def _from_tables(cls, timestamps: "tuple[int, ...]", row_ids: "tuple[str, ...]",
+                     tables: "dict[int, InstanceTable]") -> "TrajectoryDataset":
+        """The dataset of checked per-timestamp tables, over sorted distinct ``timestamps``."""
+        ds = cls.__new__(cls)
+        ds.timestamps, ds.row_ids, ds.tables = timestamps, row_ids, tables
+        return ds
 
     @property
     def object_ids(self) -> "tuple[str, ...]":
-        return tuple(t.id for t in self.objects)
+        return self.row_ids[1:]
 
     @cached_property
     def tables(self) -> "dict[int, InstanceTable]":
         """Per timestamp, the instance table of the query (row 0) and the objects, built on
         first use."""
         rows = (self.query, *self.objects)
-        ids = [traj.id for traj in rows]
-        return {t: InstanceTable.of(ids, [traj.per_timestamp[t] for traj in rows])
+        return {t: InstanceTable.of(self.row_ids, [traj.per_timestamp[t] for traj in rows])
                 for t in self.timestamps}
+
+    @cached_property
+    def query(self) -> UncertainTrajectory:
+        """The query trajectory, built from the tables on first use."""
+        return self._trajectory(0)
+
+    @cached_property
+    def objects(self) -> "tuple[UncertainTrajectory, ...]":
+        """The candidate trajectories in dataset order, built from the tables on first use."""
+        return tuple(map(self._trajectory, range(1, len(self.row_ids))))
+
+    def _trajectory(self, r: int) -> UncertainTrajectory:
+        per_timestamp = {}
+        for t in self.timestamps:
+            table = self.tables[t]
+            lo, hi = table.first[r], table.first[r + 1]
+            positions = map(tuple, table.positions[lo:hi].tolist())
+            per_timestamp[t] = tuple(zip(positions, table.prob[lo:hi].tolist()))
+        return UncertainTrajectory(id=self.row_ids[r], per_timestamp=per_timestamp)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrajectoryDataset):
+            return NotImplemented
+        return (self.timestamps, self.row_ids) == (other.timestamps, other.row_ids) and (
+            self.tables == other.tables)
+
+    def __repr__(self) -> str:
+        return (f"TrajectoryDataset(timestamps={self.timestamps!r}, query={self.query!r}, "
+                f"objects={self.objects!r})")
 
 
 class TimestampSet(NamedTuple):
@@ -174,9 +224,13 @@ def _parse_trajectory(record) -> UncertainTrajectory:
     return UncertainTrajectory(id=trajectory_id, per_timestamp=parsed)
 
 
-def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
-    """Parse the trajectory dataset JSON format."""
-    doc = parse_json(text, "trajectory")
+def _read_records(doc) -> TrajectoryDataset:
+    """A parsed document as a validated dataset, record by record.
+
+    The loader re-reads a document with it when any screen flags the document, so that the
+    first failing record, in file order and the query first, raises its own message; the
+    dataset's checks on ids and timestamps come last.
+    """
     try:
         timestamps = doc["timestamps"]
         query_rec = doc["query"]
@@ -191,6 +245,75 @@ def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
     query = _parse_trajectory(query_rec)
     objects = tuple(_parse_trajectory(rec) for rec in object_recs)
     return TrajectoryDataset(timestamps=timestamps, query=query, objects=objects)
+
+
+def _screened_dataset(doc) -> Optional[TrajectoryDataset]:
+    """The dataset of a parsed document, read straight into its tables, or ``None`` when any
+    screen flags the document.
+
+    One timestamp-major pass checks the fields and collects, per timestamp, each row's
+    alternatives, so that a timestamp's rows are one contiguous slice of the raw ``x``, ``y``,
+    ``p`` values.  The timestamps must be distinct integers, the ids distinct strings, and each
+    record's ``per_timestamp`` keys exactly the canonical decimal timestamps.  Vector screens
+    then flag a value that is not a JSON number, a non-finite coordinate, a probability outside
+    (0, 1 + PROB_TOL], an empty alternative list and a sum farther than PROB_TOL from 1.
+    """
+    try:
+        timestamps, objects = doc["timestamps"], doc["objects"]
+        if type(timestamps) is not list or type(objects) is not list:
+            return None
+        records = [doc["query"], *objects]
+        ids = tuple(rec["id"] for rec in records)
+        pers = [rec["per_timestamp"] for rec in records]
+        if not all(type(t) is int for t in timestamps) or not all(type(i) is str for i in ids):
+            return None
+        domain = tuple(sorted(timestamps))
+        if not (domain and len(set(domain)) == len(domain) and len(set(ids)) == len(ids)
+                and all(type(per) is dict and len(per) == len(domain) for per in pers)):
+            return None
+        sizes, alternatives = [], []
+        for key in map(str, domain):
+            for per in pers:
+                alts = per[key]
+                if type(alts) is not list:
+                    return None
+                sizes.append(len(alts))
+                alternatives += alts
+        values = list(chain.from_iterable(map(_XYP, alternatives)))
+        if not _NUMBER_TYPES.issuperset(map(type, values)):
+            return None
+        xyp = np.array(values, dtype=float).reshape(-1, 3)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    positions, prob = xyp[:, :2].copy(), xyp[:, 2].copy()
+    in_range = np.isfinite(positions).all() and ((prob > 0.0) & (prob <= 1.0 + PROB_TOL)).all()
+    if not (in_range and all(sizes)):
+        return None
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    if (np.abs(_object_sums(prob, owner, first) - 1.0) > PROB_TOL).any():
+        return None
+    n = len(ids)
+    tables = {}
+    for b, t in enumerate(domain):
+        lo, hi = first[b * n], first[(b + 1) * n]
+        tables[t] = InstanceTable.from_arrays(
+            ids, positions[lo:hi], prob[lo:hi], sizes[b * n : (b + 1) * n])
+    return TrajectoryDataset._from_tables(domain, ids, tables)
+
+
+def loads_trajectory_dataset(text: Union[str, bytes]) -> TrajectoryDataset:
+    """Parse the trajectory dataset JSON format, straight into the per-timestamp tables.
+
+    A document that passes every screen of ``_screened_dataset`` fills the tables directly and
+    builds no trajectory.  A document that any screen flags is re-read by ``_read_records``,
+    which raises the first failing record's message in file order.
+    """
+    doc = parse_json(text, "trajectory")
+    dataset = _screened_dataset(doc)
+    if dataset is None:
+        return _read_records(doc)
+    return dataset
 
 
 def load_trajectory_dataset(source: Union[str, bytes, IO]) -> TrajectoryDataset:
@@ -224,8 +347,8 @@ class ExactTrajectoryBackend:
             return self._win_cache[key]
         if t not in self._mixes:  # the query trajectory resolved once per timestamp
             ds = self.dataset
-            db = UncertainDatabase.from_table((ds.query.id, *ds.object_ids), ds.tables[t])
-            self._mixes[t] = _query_mix(db, ds.query.id)
+            db = UncertainDatabase.from_table(ds.row_ids, ds.tables[t])
+            self._mixes[t] = _query_mix(db, ds.row_ids[0])
         rest, mix = self._mixes[t]
         j = rest.index(object_id)
         table = rest.table
@@ -308,16 +431,27 @@ def pc_tau_nn(
     tau: float,
     backend: Optional[Backend] = None,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
+    maximal: bool = False,
 ) -> List[TimestampSet]:
     """All subsets of the query interval where the object's NN probability >= tau.
 
-    Level-wise Apriori search: the singletons are validated first, and each next
-    level joins two qualifying sets that share all but their last timestamp into
-    ``base + (t,)`` (Agrawal and Srikant's prefix join), validated only when every
-    one-smaller subset qualified.  A timestamp the object surely wins
-    needs no special case: its factor of 1.0 leaves every probability as it
-    is.  At most ``lattice_cap`` sets are validated.  Results are sorted by
-    size, then lexicographically.
+    Depth first over prefix classes, as Eclat enumerates (Zaki, IEEE TKDE 2000): the
+    qualifying singletons form the root class, and a qualifying set ``s`` of a class is
+    extended by each later member ``u`` of that class; the ``s + (u,)`` that qualify form
+    ``s``'s own class.  Both backends' probabilities are anti-monotone (a tidset AND, or a
+    product of factors at most 1.0), so the qualifying sets are closed under subsets and the
+    search reaches each of them once.  It emits each set before its extensions, that is in
+    lexicographic order; results are sorted by size, then lexicographically, each with
+    ``backend.pfann`` of the sorted set.  A timestamp the object surely wins needs no special
+    case: its factor of 1.0 leaves every probability as it is.
+
+    With ``maximal`` only the sets that no qualifying set strictly contains are returned.  A
+    class of two or more members first validates its prefix with all its members (GenMax's
+    look-ahead, Gouda and Zaki, ICDM 2001) and reports that set whole when it qualifies;
+    otherwise only the sets without a qualifying extension are kept, and
+    ``maximal_timestamp_sets`` drops those inside another.
+
+    At most ``lattice_cap`` sets are validated, look-aheads included.
     """
     if not 0.0 < tau <= 1.0:
         raise ValidationError("tau must lie in (0, 1]")
@@ -330,34 +464,46 @@ def pc_tau_nn(
     if unknown:
         raise ValidationError(f"timestamps {sorted(unknown)} outside the dataset domain")
 
-    qualified: Dict[Tuple[int, ...], float] = {}
-    level = [(t,) for t in domain]
+    pfann = backend.pfann
     validated = 0
-    while level:
-        found = {}
-        for cand in level:
-            validated += 1
-            if validated > lattice_cap:
-                raise CapExceededError(
-                    f"lattice exceeded {lattice_cap} candidates for object {object_id!r}"
-                )
-            p = backend.pfann(object_id, cand)
+
+    def validate(cand: "tuple[int, ...]") -> float:
+        nonlocal validated
+        validated += 1
+        if validated > lattice_cap:
+            raise CapExceededError(
+                f"lattice exceeded {lattice_cap} candidates for object {object_id!r}"
+            )
+        return pfann(object_id, cand)
+
+    found: List[Tuple[Tuple[int, ...], float]] = []
+    # a class is a qualifying prefix and its members: the later timestamps u, each with the
+    # probability of prefix + (u,), which qualified; (prefix, members, i) resumes the class
+    # at member i once member i - 1's own classes are done.  An explicit stack, not a
+    # recursive nested function: such a function is a reference cycle left for the cyclic
+    # collector on every call, and a chain as long as the domain needs no recursion limit.
+    roots = [(t, p) for t in domain if (p := validate((t,))) >= tau]
+    stack = [((), roots, 0)] if roots else []
+    while stack:
+        prefix, members, i = stack.pop()
+        if i == 0 and maximal and len(members) > 1:
+            whole = prefix + tuple(u for u, _ in members)
+            p = validate(whole)
             if p >= tau:
-                found[cand] = p
-        qualified.update(found)
-        # found sets come in lexicographic order, so those sharing all but their last
-        # timestamp are adjacent; joining two gives base + (t,), two of whose one-smaller
-        # subsets are the pair itself; the rest drop one of base's first len(base) - 1
-        level = []
-        for _, group in groupby(found, key=lambda s: s[:-1]):
-            group = list(group)
-            for i, base in enumerate(group):
-                for other in group[i + 1:]:
-                    t = other[-1]
-                    if all(base[:d] + base[d + 1:] + (t,) in found
-                           for d in range(len(base) - 1)):
-                        level.append(base + (t,))
-    return list(map(TimestampSet._make, qualified.items()))
+                found.append((whole, p))
+                continue
+        if i + 1 < len(members):
+            stack.append((prefix, members, i + 1))
+        u, p = members[i]
+        s = prefix + (u,)
+        tail = [(v, q) for v, _ in members[i + 1:] if (q := validate(s + (v,))) >= tau]
+        if tail:
+            stack.append((s, tail, 0))
+        if not (maximal and tail):
+            found.append((s, p))
+    found.sort(key=lambda entry: len(entry[0]))
+    results = list(map(TimestampSet._make, found))
+    return maximal_timestamp_sets(results) if maximal else results
 
 
 def pcnn_query(
@@ -366,6 +512,7 @@ def pcnn_query(
     tau: float,
     backend: Optional[Backend] = None,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
+    maximal: bool = False,
 ) -> Dict[str, List[TimestampSet]]:
     """Run the qualifying-subsets query for every object; empty outputs are omitted."""
     if not 0.0 < tau <= 1.0:  # checked here too: a dataset without objects runs no search
@@ -374,10 +521,10 @@ def pcnn_query(
         backend = ExactTrajectoryBackend(dataset)
     domain = tuple(sorted(set(timestamps)))
     results = {}
-    for traj in dataset.objects:
-        found = pc_tau_nn(dataset, traj.id, domain, tau, backend, lattice_cap)
+    for oid in dataset.object_ids:
+        found = pc_tau_nn(dataset, oid, domain, tau, backend, lattice_cap, maximal)
         if found:
-            results[traj.id] = found
+            results[oid] = found
     return results
 
 
@@ -394,7 +541,8 @@ def answer_pcnn(
 
     ``backend`` is ``exact`` (the kNN engine per timestamp) or ``sampled`` shared
     Monte-Carlo worlds (``samples`` worlds from ``seed``).  With ``object_id`` only that object is
-    searched; with ``maximal`` only sets that no reported set strictly contains are kept.
+    searched; with ``maximal`` the search returns only the sets no qualifying set strictly
+    contains.
     """
     if backend == "exact":
         engine: Backend = ExactTrajectoryBackend(dataset)
@@ -403,15 +551,11 @@ def answer_pcnn(
     else:
         raise ValidationError(f"unknown trajectory backend {backend!r}; expected exact or sampled")
     if object_id is None:
-        results = pcnn_query(dataset, dataset.timestamps, tau, engine)
-    elif object_id not in dataset.object_ids:
+        return pcnn_query(dataset, dataset.timestamps, tau, engine, maximal=maximal)
+    if object_id not in dataset.object_ids:
         raise ValidationError(f"object {object_id!r} not in dataset")
-    else:
-        found = pc_tau_nn(dataset, object_id, dataset.timestamps, tau, engine)
-        results = {object_id: found} if found else {}
-    if maximal:
-        results = {oid: maximal_timestamp_sets(sets) for oid, sets in results.items()}
-    return results
+    found = pc_tau_nn(dataset, object_id, dataset.timestamps, tau, engine, maximal=maximal)
+    return {object_id: found} if found else {}
 
 
 def maximal_timestamp_sets(results: Sequence[TimestampSet]) -> List[TimestampSet]:

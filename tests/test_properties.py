@@ -6,9 +6,10 @@ per-instance kernel path it replaced, the
 batched distances against ``euclidean_distance``, exact invariance of every path under integer
 translation and quarter-turn rotation, the maximal-set filter against the quadratic one, and the
 exact trajectory backend against the kNN engine and the oracle, both backends and the lattice
-over timestamp sets against an enumeration of the joint trajectory worlds, the sampled one
-against a per-sample loop, PAM, the weighted silhouette and the auto-k choice against the
-one-candidate loops they replaced, and the one-pass JSON writer against the item-by-item one."""
+over timestamp sets against an enumeration of the joint trajectory worlds, the depth-first
+lattice against the level-wise Apriori one, the sampled backend against a per-sample loop,
+PAM, the weighted silhouette and the auto-k choice against the one-candidate loops they
+replaced, and the one-pass JSON writer against the item-by-item one."""
 
 import itertools
 import math
@@ -549,11 +550,11 @@ def _surely_wins(ds, object_id, t):
 
 
 @st.composite
-def trajectory_datasets(draw, max_objects=4, max_alts=3):
-    """Up to ``max_objects`` objects over up to three timestamps on a 5x5 grid, 1 to
-    ``max_alts`` alternatives each, ids out of database order, so distance ties and id
+def trajectory_datasets(draw, max_objects=4, max_alts=3, max_timestamps=3):
+    """Up to ``max_objects`` objects over up to ``max_timestamps`` timestamps on a 5x5 grid,
+    1 to ``max_alts`` alternatives each, ids out of database order, so distance ties and id
     tie-breaks are common."""
-    n_t = draw(st.integers(1, 3))
+    n_t = draw(st.integers(1, max_timestamps))
 
     def trajectory(tid):
         per = {}
@@ -640,8 +641,8 @@ TAUS = st.floats(0.01, 1.0) | st.sampled_from((0.25, 0.5, 1.0))
 def test_exact_pfann_and_pcnn_match_the_trajectory_oracle(ds, tau):
     """Over timestamp sets of one to three timestamps, exact ``pfann`` lies within 1e-12 of
     the enumerated joint worlds, and ``pc_tau_nn`` returns exactly the sets the oracle
-    qualifies, in size-then-lexicographic order, unless an oracle value lies within 1e-9 of
-    tau."""
+    qualifies, in size-then-lexicographic order, and with ``maximal`` exactly the maximal
+    ones, unless an oracle value lies within 1e-9 of tau."""
     oracle = _trajectory_oracle(ds)
     backend = ExactTrajectoryBackend(ds)
     for oid in ds.object_ids:
@@ -652,6 +653,9 @@ def test_exact_pfann_and_pcnn_match_the_trajectory_oracle(ds, tau):
             found = pc_tau_nn(ds, oid, ds.timestamps, tau, backend)
             want = sorted((sub for sub, v in values.items() if v >= tau), key=lambda s: (len(s), s))
             assert [ts.timestamps for ts in found] == want
+            found = pc_tau_nn(ds, oid, ds.timestamps, tau, backend, maximal=True)
+            assert [ts.timestamps for ts in found] == [
+                sub for sub in want if not any(set(sub) < set(other) for other in want)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -687,6 +691,44 @@ def test_sampled_pfann_is_the_share_of_covering_samples(seed, n, data):
             covering = set(range(n)).intersection(*(won[oid][t] for t in sub))
             assert backend.pfann(oid, sub) == len(covering) / n
     assert all(backend.pfann("o0", (t,)) == 1.0 for t in sure)
+
+
+def _apriori(backend, oid, domain, tau):
+    """The level-wise Apriori search: each level joins two found sets that share all but
+    their last timestamp, and validates the join only when every one-smaller subset was
+    found."""
+    qualified = {}
+    level = [(t,) for t in domain]
+    while level:
+        found = {}
+        for cand in level:
+            p = backend.pfann(oid, cand)
+            if p >= tau:
+                found[cand] = p
+        qualified.update(found)
+        level = []
+        for _, group in itertools.groupby(found, key=lambda s: s[:-1]):
+            group = list(group)
+            for i, base in enumerate(group):
+                for other in group[i + 1:]:
+                    t = other[-1]
+                    if all(base[:d] + base[d + 1:] + (t,) in found for d in range(len(base) - 1)):
+                        level.append(base + (t,))
+    return [TimestampSet(s, p) for s, p in qualified.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(trajectory_datasets(max_objects=3, max_alts=3, max_timestamps=7), st.floats(0.01, 0.9),
+       st.integers(0, 2**32 - 1))
+def test_depth_first_search_returns_the_apriori_output(ds, tau, seed):
+    """On both backends, the depth-first search returns the sets, order and floats of the
+    level-wise Apriori search, and with ``maximal`` the maximal sets of that output."""
+    for backend in (ExactTrajectoryBackend(ds), SampledTrajectoryBackend(ds, 300, seed=seed)):
+        for oid in ds.object_ids:
+            full = pc_tau_nn(ds, oid, ds.timestamps, tau, backend)
+            assert full == _apriori(backend, oid, ds.timestamps, tau)
+            maximal = pc_tau_nn(ds, oid, ds.timestamps, tau, backend, maximal=True)
+            assert maximal == maximal_timestamp_sets(full)
 
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)

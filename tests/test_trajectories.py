@@ -1,5 +1,6 @@
 """Trajectory NN queries: backends, lattice search, anti-monotonicity."""
 
+import gc
 import itertools
 import json
 import math
@@ -491,31 +492,28 @@ class TestLattice:
         with pytest.raises(CapExceededError, match="lattice exceeded"):
             pc_tau_nn(demo_dataset, "o1", demo_dataset.timestamps, 0.5, lattice_cap=calls - 1)
 
-    @pytest.mark.parametrize("tau", [0.05, 0.2])
-    def test_prefix_join_validates_the_singles_scan_candidates_in_order(self, tau):
-        """The prefix join validates the same candidates in the same order as a scan that
-        extends each qualifying set by every later qualifying singleton, so the lattice cap
-        fires at the same set."""
+    def test_depth_first_search_validates_the_reference_sequence(self):
+        """The search validates the sets a recursive prefix-class walk names, in its order,
+        look-aheads included, and the lattice cap fires at the first set past the cap."""
 
-        def singles_scan(backend, oid, domain):
-            validated, qualified = [], {}
-            level = [(t,) for t in domain]
-            while level:
-                found = {}
-                for cand in level:
-                    validated.append(cand)
-                    p = backend.pfann(oid, cand)
-                    if p >= tau:
-                        found[cand] = p
-                qualified.update(found)
-                singles = [t for t in domain if (t,) in qualified]
-                level = [
-                    base + (t,)
-                    for base in found
-                    for t in singles
-                    if t > base[-1]
-                    and all(base[:i] + base[i + 1:] + (t,) in found for i in range(len(base)))
-                ]
+        def reference(backend, oid, domain, tau, maximal):
+            """The validated sets in order, each marked when it is a look-ahead."""
+            validated = []
+
+            def qualifies(cand, look_ahead=False):
+                validated.append((cand, look_ahead))
+                return backend.pfann(oid, cand) >= tau
+
+            def visit(prefix, members):
+                if maximal and len(members) > 1 and qualifies(prefix + tuple(members), True):
+                    return
+                for i, u in enumerate(members):
+                    s = prefix + (u,)
+                    tail = [v for v in members[i + 1:] if qualifies(s + (v,))]
+                    if tail:
+                        visit(s, tail)
+
+            visit((), [t for t in domain if qualifies((t,))])
             return validated
 
         class Recording(SampledTrajectoryBackend):
@@ -526,10 +524,48 @@ class TestLattice:
         with open(FIXTURES / "pcnn_shadow.json", "rb") as fh:
             ds = loads_trajectory_dataset(fh.read())
         backend, plain = Recording(ds, 997, seed=42), SampledTrajectoryBackend(ds, 997, seed=42)
-        for oid in ds.object_ids:
+        look_aheads = 0
+        for tau, maximal in itertools.product((0.05, 0.2), (False, True)):
+            for oid in ds.object_ids:
+                want = reference(plain, oid, ds.timestamps, tau, maximal)
+                backend.validated = []
+                pc_tau_nn(ds, oid, ds.timestamps, tau, backend, maximal=maximal)
+                assert backend.validated == [cand for cand, _ in want], (oid, tau, maximal)
+                look_aheads += sum(flag for _, flag in want)
+        assert look_aheads > 0
+
+        # c00 qualifies on hundreds of sets; cap it before, at and after a look-ahead
+        want = reference(plain, "c00", ds.timestamps, 0.05, True)
+        first = next(i for i, (_, flag) in enumerate(want) if flag and i > len(ds.timestamps))
+        for cap in (first, first + 1, len(want) // 2, len(want) - 1):
             backend.validated = []
-            pc_tau_nn(ds, oid, ds.timestamps, tau, backend)
-            assert backend.validated == singles_scan(plain, oid, ds.timestamps), oid
+            with pytest.raises(CapExceededError, match=f"lattice exceeded {cap} candidates"):
+                pc_tau_nn(ds, "c00", ds.timestamps, 0.05, backend, lattice_cap=cap, maximal=True)
+            assert backend.validated == [cand for cand, _ in want[:cap]], cap
+        backend.validated = []
+        pc_tau_nn(ds, "c00", ds.timestamps, 0.05, backend, lattice_cap=len(want), maximal=True)
+        assert len(backend.validated) == len(want)
+
+    def test_maximal_look_ahead_reports_the_whole_domain_at_the_root(self):
+        """When every singleton and the whole domain qualify, the root's look-ahead is the
+        second and last validation step: one set, the domain."""
+        with open(FIXTURES / "pcnn_certain.json", "rb") as fh:
+            ds = loads_trajectory_dataset(fh.read())
+
+        class Counting(ExactTrajectoryBackend):
+            calls = 0
+
+            def pfann(self, object_id, timestamps):
+                self.calls += 1
+                return super().pfann(object_id, timestamps)
+
+        backend = Counting(ds)
+        found = pc_tau_nn(ds, "o1", ds.timestamps, 0.3, backend, maximal=True)
+        assert [ts.timestamps for ts in found] == [ds.timestamps]
+        assert found[0].probability == pytest.approx(0.35, abs=1e-12)
+        assert backend.calls == len(ds.timestamps) + 1
+        with pytest.raises(CapExceededError):
+            pc_tau_nn(ds, "o1", ds.timestamps, 0.3, lattice_cap=len(ds.timestamps), maximal=True)
 
 
 class TestPcnnQuery:
@@ -572,6 +608,27 @@ class TestPcnnQuery:
                     assert oid not in res
                 else:
                     assert {t.timestamps for t in res[oid]} == set(expected)
+
+
+    @pytest.mark.parametrize("maximal", [False, True])
+    @pytest.mark.parametrize("backend", ["exact", "sampled"])
+    def test_queries_leave_no_reference_cycles(self, backend, maximal):
+        """Loading and an all-object query leave nothing for the cyclic collector, so their
+        memory goes back as soon as the results are dropped."""
+        text = (FIXTURES / "pcnn_shadow.json").read_bytes()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ds = loads_trajectory_dataset(text)
+            engine = (ExactTrajectoryBackend(ds) if backend == "exact"
+                      else SampledTrajectoryBackend(ds, 997, seed=42))
+            assert pcnn_query(ds, ds.timestamps, 0.05, engine, maximal=maximal)
+            del ds, engine
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestMaximalFilter:

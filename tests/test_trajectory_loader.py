@@ -17,7 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from uncertain_spatial import loads_trajectory_dataset  # noqa: E402
+from uncertain_spatial import loads_trajectory_dataset, trajectories  # noqa: E402
 from uncertain_spatial.model import PROB_TOL, InstanceTable, ValidationError, json_xyp  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -114,6 +114,7 @@ def _assert_loads_alike(text):
         assert got[1] == want[1]
         return None
     ds, (domain, rows) = got[1], want[1]
+    assert "query" not in vars(ds)  # a valid document fills the tables with no re-read
     ids = tuple(tid for tid, _ in rows)
     assert ds.timestamps == domain
     assert (ds.query.id, *ds.object_ids) == ids
@@ -279,6 +280,39 @@ def test_sums_at_the_tolerance_edges_load_alike(text):
     _assert_loads_alike(text)
 
 
+@pytest.mark.parametrize("edge, loads", [(1.0 - PROB_TOL, True), (1.0 + PROB_TOL, False)])
+def test_sum_screen_decides_as_fsum_at_the_edge(edge, loads):
+    """Three probabilities whose sum in order lands on the other side of an edge than their
+    exact sum: just outside 1 - PROB_TOL in order but inside exactly, the document loads;
+    just inside 1 + PROB_TOL in order but outside exactly, it does not."""
+    base = math.nextafter(edge, 0.0)
+    tail = 0.4 * math.ulp(base)
+    probs = [base, tail, tail]
+    in_order = 0.0
+    for p in probs:
+        in_order += p
+    assert (abs(math.fsum(probs) - 1.0) <= PROB_TOL) == loads
+    assert (abs(in_order - 1.0) <= PROB_TOL) != loads
+    alts = [{"x": i, "y": 0, "p": p} for i, p in enumerate(probs)]
+    doc = {"timestamps": [0], "query": {"id": "q", "per_timestamp": {"0": alts}},
+           "objects": [{"id": "o", "per_timestamp": {"0": [{"x": 1, "y": 1, "p": 1}]}}]}
+    assert (_assert_loads_alike(json.dumps(doc)) is not None) == loads
+
+
 @pytest.mark.parametrize("fixture", TRAJECTORY_FIXTURES)
 def test_fixtures_load_alike(fixture):
     assert _assert_loads_alike((FIXTURES / fixture).read_text()) is not None
+
+
+@pytest.mark.parametrize("fixture", TRAJECTORY_FIXTURES)
+def test_flagged_valid_file_is_reread_into_the_same_dataset(fixture, monkeypatch):
+    """A valid document that a screen flags is re-read record by record into an equal dataset,
+    its trajectories built first and its tables from them."""
+    text = (FIXTURES / fixture).read_text()
+    screened = loads_trajectory_dataset(text)
+    assert "query" not in vars(screened)  # no trajectory is built on a clean file
+    monkeypatch.setattr(trajectories, "_screened_dataset", lambda doc: None)
+    reread = loads_trajectory_dataset(text)
+    assert "query" in vars(reread)
+    assert reread == screened  # the same timestamps, ids and tables
+    assert (reread.query, reread.objects) == (screened.query, screened.objects)
