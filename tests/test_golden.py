@@ -183,6 +183,42 @@ def _nn1_cases():
     return cases
 
 
+#: A ring of 17 surely existing objects around (0, -400), drawn by ``bench/generate.py``'s
+#: ``ring_neighbourhoods((17,), 4, rng_for("reps-wide", 1, "rings"))``, three existentially
+#: uncertain objects inside it (u0, u1, u2) and one far object (z0).  Up to 20 objects are
+#: members of some sampled result, so a packed result row spans three bytes; kNN gives 19
+#: to 1,898 distinct results and a range query mixes the empty result with others.  The
+#: taus 0.4, 0.5, 0.25, 1 - 2/3 and 1 - 1/3 are Jaccard distances of these results exactly.
+WIDE = ["reps", "--dataset", "fixtures/reps_wide.json"]
+WIDE_CENTRE = ["--query-x", "0", "--query-y", "-400"]
+
+
+def _wide_cases():
+    cover = WIDE + WIDE_CENTRE + ["--method", "maxcover"]
+    cluster = WIDE + WIDE_CENTRE + ["--method", "cluster"]
+    cases = [cover + ["--nn", nn, "--samples", "3000", "--tau", "0.3", "--n-reps", "4"]
+             for nn in ("2", "3", "4")]
+    cases += [
+        cover + ["--nn", "2", "--samples", "3000", "--tau", "0.6666666666666667"],
+        cover + ["--nn", "3", "--samples", "3000", "--seed", "5", "--tau", "0.5"],
+        cover + ["--nn", "4", "--samples", "997", "--tau", "0.4", "--n-reps", "5"],
+        cover + ["--epsilon", "5", "--samples", "997", "--tau", "0.5", "--n-reps", "4"],
+        cover + ["--epsilon", "9", "--samples", "997", "--tau", "0.25"],
+        cover + ["--epsilon", "9", "--samples", "997", "--tau", "0.33333333333333337"],
+        cover + ["--epsilon", "0.5", "--samples", "997", "--tau", "0.3"],
+        cover + ["--nn", "4", "--samples", "1", "--tau", "0.3"],
+        cluster + ["--nn", "2", "--samples", "997"],
+        cluster + ["--nn", "3", "--samples", "997", "--clusters", "3"],
+        cluster + ["--nn", "2", "--samples", "997", "--cluster-mode", "taumax",
+                   "--tau-max", "0.6666666666666667"],
+        cluster + ["--epsilon", "0.5", "--samples", "997"],
+        cluster + ["--nn", "4", "--samples", "1"],
+        WIDE + ["--query-object", "r00.00", "--nn", "3", "--samples", "3000", "--tau", "0.3"],
+        WIDE + ["--query-object", "r00.05", "--nn", "2", "--samples", "997", "--tau", "0.5"],
+    ]
+    return cases
+
+
 #: pcnn over the four trajectory fixtures, exact and sampled, over all objects and one,
 #: with and without ``--maximal``.  At tau 0.3 every singleton of ``o1`` in
 #: ``pcnn_certain.json`` qualifies and so does the whole domain (p = 0.35); at tau 0.5 the
@@ -286,7 +322,7 @@ def _other_cases():
     ]
     return {"readme": README, "reps": reps, "pcnn": pcnn, "errors": errors,
             "clustered": _clustered_cases(), "edges": _edge_cases(), "shadow": _shadow_cases(),
-            "nn1": _nn1_cases(), "lattice": _lattice_cases()}
+            "nn1": _nn1_cases(), "lattice": _lattice_cases(), "reps-wide": _wide_cases()}
 
 
 def all_cases():
