@@ -173,8 +173,6 @@ class InstanceTable:
         """The table of objects ``ids`` whose instances, ``sizes[j]`` for object j, are the
         rows of ``positions`` and ``prob`` in order."""
         sizes = np.asarray(sizes, dtype=np.int64)
-        id_rank = np.empty(len(ids), dtype=np.int64)
-        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         owner = np.repeat(np.arange(len(ids)), sizes)
         first = np.concatenate(([0], np.cumsum(sizes)))
         return cls(
@@ -182,7 +180,7 @@ class InstanceTable:
             prob=prob,
             owner=owner,
             first=first,
-            id_rank=id_rank,
+            id_rank=_id_ranks(ids),
             certain=_object_sums(prob, owner, first) >= 1.0 - PROB_TOL,
         )
 
@@ -218,6 +216,13 @@ class InstanceTable:
             return NotImplemented
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's rank among ``ids`` in sorted order: an ``InstanceTable``'s ``id_rank``."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def _object_sums(prob: np.ndarray, owner: np.ndarray, first: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +89,19 @@ class Representative:
     support: int
 
 
-def _distance_matrix(pr: Sequence[PossibleResult]) -> np.ndarray:
-    """Pairwise Jaccard distances, equal to ``jaccard_distance`` on every pair.
+#: Rows per block of the distance matrix: a block of intersections and one of union sizes
+#: are the only temporaries, whatever the number of results.
+_BLOCK_ROWS = 128
 
-    Intersections come from one product of the result-by-object incidence
-    matrix; intersection and union sizes are exact small integers, so the
-    quotient rounds exactly as the set-based computation does.
+
+def _distance_rows(pr: Sequence[PossibleResult]) -> Iterator[Tuple[int, np.ndarray]]:
+    """The pairwise Jaccard distances as ``(first row, block of rows)``, in row order;
+    every entry equals ``jaccard_distance`` on its pair.
+
+    Intersections come from products of the result-by-object incidence matrix
+    with its contiguous transpose; intersection and union sizes are exact small
+    integers, so the quotient rounds exactly as the set-based computation does,
+    and the matrix is exactly symmetric.
     """
     column = {}
     rows, cols = [], []
@@ -105,31 +112,39 @@ def _distance_matrix(pr: Sequence[PossibleResult]) -> np.ndarray:
     incidence = np.zeros((len(pr), len(column)))
     incidence[rows, cols] = 1.0
     sizes = incidence.sum(axis=1)
-    dist = incidence @ incidence.T  # intersection sizes, turned into distances in place
-    union = np.add.outer(sizes, sizes)
-    union -= dist
-    both_empty = union == 0
-    union[both_empty] = 1.0
-    dist /= union
-    np.subtract(1.0, dist, out=dist)
-    dist[both_empty] = 0.0
+    transposed = np.ascontiguousarray(incidence.T)
+    empty = np.flatnonzero(sizes == 0)
+    for lo in range(0, len(pr), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(pr))
+        block = incidence[lo:hi] @ transposed  # intersection sizes, then distances
+        union = np.add.outer(sizes[lo:hi], sizes)
+        union -= block
+        both_empty = np.ix_(empty[(lo <= empty) & (empty < hi)] - lo, empty)
+        block[both_empty] = union[both_empty] = 1.0  # two empty results: 1 - 1/1 = 0
+        block /= union
+        np.subtract(1.0, block, out=block)
+        yield lo, block
+
+
+def _distance_matrix(pr: Sequence[PossibleResult]) -> np.ndarray:
+    """Pairwise Jaccard distances, equal to ``jaccard_distance`` on every pair."""
+    dist = np.empty((len(pr), len(pr)))
+    for lo, block in _distance_rows(pr):
+        dist[lo : lo + len(block)] = block
     return dist
-
-
-def _covered_support(dist_row: np.ndarray, supports: np.ndarray, tau: float) -> int:
-    return int(supports[dist_row <= tau].sum())
 
 
 def _make_representative(
     pr: Sequence[PossibleResult],
-    dist: np.ndarray,
+    covers: np.ndarray,
     supports: np.ndarray,
     n_samples: int,
     idx: int,
     tau: float,
     alpha: float,
 ) -> Representative:
-    covered = _covered_support(dist[idx], supports, tau)
+    """Result ``idx`` as a representative that covers the results where ``covers`` is set."""
+    covered = int(supports[covers].sum())
     phi = alpha_confidence(covered / n_samples, n_samples, alpha)
     return Representative(
         result=pr[idx].result, tau=tau, phi=phi, alpha=alpha, support=covered
@@ -145,6 +160,12 @@ def max_cover_representatives(
     support within Jaccard distance tau (ties by result id order) and removes
     what it covers; selection stops early once everything is covered.  Greedy
     guarantees at least a 1 - 1/e fraction of the optimal cover.
+
+    ``within`` is kept as booleans, a block of distance rows at a time.  The
+    gains start as float products of those 0/1 rows with the supports, and lose
+    each newly covered column's support after a pick (a row of the symmetric
+    ``within`` is its column); every sum is an integer below 2**53, so each
+    gain is exact.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValidationError("tau must lie in [0, 1]")
@@ -153,20 +174,26 @@ def max_cover_representatives(
     if not pr:
         return []
     supports = np.array([r.support for r in pr], dtype=np.int64)
+    weights = supports.astype(float)
     n_samples = int(supports.sum())
-    dist = _distance_matrix(pr)
-    within = dist <= tau
+    within = np.empty((len(pr), len(pr)), dtype=bool)
+    gains = np.empty(len(pr))
+    for lo, block in _distance_rows(pr):
+        near = np.less_equal(block, tau, out=block)  # 1.0 within tau, else 0.0
+        gains[lo : lo + len(near)] = near @ weights
+        within[lo : lo + len(near)] = near
     uncovered = np.ones(len(pr), dtype=bool)
     chosen: List[Representative] = []
     for _ in range(n):
         if not uncovered.any():
             break
-        gains = within @ np.where(uncovered, supports, 0)
         best = min(np.flatnonzero(gains == gains.max()), key=lambda i: pr[i].result)
         chosen.append(
-            _make_representative(pr, dist, supports, n_samples, int(best), tau, alpha)
+            _make_representative(pr, within[best], supports, n_samples, int(best), tau, alpha)
         )
-        uncovered &= ~within[best]
+        newly = np.flatnonzero(within[best] & uncovered)
+        uncovered[newly] = False
+        gains -= weights[newly] @ within[newly]
     return chosen
 
 
@@ -289,7 +316,7 @@ def cluster_representatives(
     dist = _distance_matrix(pr)
     if len(pr) < 2:
         tau = 0.0 if mode == "complete" else float(tau_max)
-        return [_make_representative(pr, dist, supports, n_samples, 0, tau, alpha)]
+        return [_make_representative(pr, dist[0] <= tau, supports, n_samples, 0, tau, alpha)]
     w = supports.astype(float)
     medoids, labels = _choose_clustering(dist, w) if k is None else pam_kmedoids(dist, w, k)
 
@@ -318,6 +345,6 @@ def cluster_representatives(
             pick = members[order[0]]
             tau = float(tau_max)
         reps.append(
-            _make_representative(pr, dist, supports, n_samples, int(pick), tau, alpha)
+            _make_representative(pr, dist[pick] <= tau, supports, n_samples, int(pick), tau, alpha)
         )
     return reps

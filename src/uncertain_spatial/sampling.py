@@ -241,17 +241,30 @@ def _membership_matrix(X: SampleSet, q, predicate: SpatialPredicate):
 
 
 def _supports_from_membership(member: np.ndarray, ids: List[str]) -> List[PossibleResult]:
-    """Group identical rows: pack each row into bytes and count the distinct byte strings."""
-    packed = np.packbits(member, axis=1)
-    if packed.shape[1] == 0:  # no candidates: every row is the empty result
-        packed = np.zeros((len(member), 1), dtype=np.uint8)
-    rows = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    """Group identical rows by one sort of their packed bytes.
+
+    Only the columns that some sample sets are packed; a stable sort of the byte columns
+    (``np.lexsort``, last key first) brings equal rows together, and each run of equal rows is
+    one distinct result, whose members are read from one ``np.nonzero`` over the runs' first
+    rows.  Results come sorted by falling support, then by members.
+    """
+    used = np.flatnonzero(member.any(axis=0))
+    if not len(used):  # no sample sets any column: every row is the empty result
+        return [PossibleResult(ResultSet(()), len(member))]
+    rows = member[:, used]
+    packed = np.packbits(rows, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(packed)]).tolist()
+    which, cols = np.nonzero(rows[order[starts]])
+    bounds = np.searchsorted(which, np.arange(len(starts) + 1)).tolist()
+    names, cols = [ids[j] for j in used.tolist()], cols.tolist()
     pairs = [
-        PossibleResult(ResultSet(tuple(ids[b] for b in np.flatnonzero(member[i]))), int(count))
-        for i, count in zip(first.tolist(), counts.tolist())
+        PossibleResult(ResultSet(tuple(map(names.__getitem__, cols[lo:hi]))), count)
+        for lo, hi, count in zip(bounds, bounds[1:], counts)
     ]
-    pairs.sort(key=lambda pr: (-pr.support, pr.result))
+    pairs.sort(key=lambda pr: (-pr.support, pr.result.members))  # the order of ResultSets
     return pairs
 
 

@@ -51,6 +51,7 @@ from .model import (
     InstanceTable,
     UncertainDatabase,
     ValidationError,
+    _id_ranks,
     _object_sums,
     json_xyp,
     parse_json,
@@ -291,14 +292,20 @@ def _screened_dataset(doc) -> Optional[TrajectoryDataset]:
         return None
     first = np.concatenate(([0], np.cumsum(sizes)))
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    if (np.abs(_object_sums(prob, owner, first) - 1.0) > PROB_TOL).any():
+    sums = _object_sums(prob, owner, first)
+    if (np.abs(sums - 1.0) > PROB_TOL).any():
         return None
+    # the fields ``InstanceTable.from_arrays`` gives each timestamp: one id order for all of
+    # them, and per row the sum just taken (``np.bincount`` adds each row alone, in order)
     n = len(ids)
+    id_rank = _id_ranks(ids)
+    certain = (sums >= 1.0 - PROB_TOL).reshape(len(domain), n)
     tables = {}
     for b, t in enumerate(domain):
         lo, hi = first[b * n], first[(b + 1) * n]
-        tables[t] = InstanceTable.from_arrays(
-            ids, positions[lo:hi], prob[lo:hi], sizes[b * n : (b + 1) * n])
+        tables[t] = InstanceTable(
+            positions=positions[lo:hi], prob=prob[lo:hi], owner=owner[lo:hi] - b * n,
+            first=first[b * n : (b + 1) * n + 1] - lo, id_rank=id_rank, certain=certain[b])
     return TrajectoryDataset._from_tables(domain, ids, tables)
 
 

@@ -9,10 +9,12 @@ exact trajectory backend against the kNN engine and the oracle, both backends an
 over timestamp sets against an enumeration of the joint trajectory worlds, the depth-first
 lattice against the level-wise Apriori one, the sampled backend against a per-sample loop,
 PAM, the weighted silhouette and the auto-k choice against the one-candidate loops they
-replaced, and the one-pass JSON writer against the item-by-item one."""
+replaced, grouping of sampled rows against a ``Counter``, max-cover against the one-candidate
+greedy loop, and the one-pass JSON writer against the item-by-item one."""
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -30,7 +32,10 @@ from uncertain_spatial import (  # noqa: E402
     estimate_object_probabilities,
     estimate_result_probabilities,
     PossibleResult,
+    alpha_confidence,
     evaluate_world,
+    jaccard_distance,
+    max_cover_representatives,
     object_based,
     pam_kmedoids,
     sample_worlds,
@@ -51,10 +56,12 @@ from uncertain_spatial.queries import (  # noqa: E402
     rank_distribution,
 )
 from uncertain_spatial.representatives import (  # noqa: E402
+    Representative,
     _choose_clustering,
     _distance_matrix,
     _weighted_silhouette,
 )
+from uncertain_spatial.sampling import _supports_from_membership  # noqa: E402
 from uncertain_spatial.trajectories import (  # noqa: E402
     ExactTrajectoryBackend,
     SampledTrajectoryBackend,
@@ -859,3 +866,84 @@ def test_pam_silhouette_and_k_choice_match_the_one_candidate_loops(case):
         dist, weights, labels)
     chosen, ref_chosen = _choose_clustering(dist, weights), _reference_choice(dist, weights)
     assert chosen[0] == ref_chosen[0] and np.array_equal(chosen[1], ref_chosen[1])
+
+
+@st.composite
+def membership_matrices(draw):
+    """A bool (sample, object) matrix 0-40 columns wide (0-5 packed bytes) with 1-500 rows:
+    independent cells at some density, all-False rows, one repeated row, or rows drawn from
+    a few distinct prototypes; and the columns' ids, sorted or shuffled."""
+    n, width = draw(st.integers(1, 500)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["cells", "all-false", "one-row", "prototypes"]))
+    if shape == "cells":
+        member = rng.random((n, width)) < draw(st.sampled_from([0.02, 0.2, 0.5, 0.9]))
+    elif shape == "all-false":
+        member = np.zeros((n, width), dtype=bool)
+    elif shape == "one-row":
+        member = np.repeat(rng.random((1, width)) < 0.5, n, axis=0)
+    else:
+        prototypes = rng.random((draw(st.integers(1, 6)), width)) < 0.3
+        member = prototypes[rng.integers(0, len(prototypes), n)]
+    if draw(st.booleans()):  # some rows empty among the others
+        member[rng.random(n) < 0.3] = False
+    ids = [f"o{j:02d}" for j in range(width)]
+    if draw(st.booleans()):
+        rng.shuffle(ids)
+    return member, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_matrices())
+def test_supports_from_membership_counts_the_distinct_rows(case):
+    """Grouping by one sort of the packed rows gives a ``Counter`` of the row tuples, as
+    results sorted by falling support, then by members."""
+    member, ids = case
+    counts = Counter(tuple(row) for row in member.tolist())
+    want = sorted(
+        (PossibleResult(ResultSet.of(i for i, hit in zip(ids, row) if hit), count)
+         for row, count in counts.items()),
+        key=lambda pr: (-pr.support, pr.result),
+    )
+    assert _supports_from_membership(member, ids) == want
+
+
+def _reference_max_cover(pr, tau, n, alpha):
+    """Greedy cover one candidate at a time over ``jaccard_distance``: in list order, take a
+    candidate whose uncovered support within tau beats the best so far, or ties it with a
+    smaller result."""
+    near = [[jaccard_distance(a.result, b.result) <= tau for b in pr] for a in pr]
+    n_samples = sum(r.support for r in pr)
+    uncovered, chosen = set(range(len(pr))), []
+    while uncovered and len(chosen) < n:
+        best, best_gain = None, -1
+        for i in range(len(pr)):
+            gain = sum(pr[j].support for j in uncovered if near[i][j])
+            if gain > best_gain or (gain == best_gain and pr[i].result < pr[best].result):
+                best, best_gain = i, gain
+        covered = sum(r.support for r, hit in zip(pr, near[best]) if hit)
+        phi = alpha_confidence(covered / n_samples, n_samples, alpha)
+        chosen.append(Representative(pr[best].result, tau, phi, alpha, covered))
+        uncovered = {j for j in uncovered if not near[best][j]}
+    return chosen
+
+
+#: Jaccard distances as the matrix computes them (1 - |I| / |U|) and their neighbours.
+EXACT_TAUS = [0.0, 1 - 3 / 4, 1 / 3, 1 - 2 / 3, 1 - 1 / 2, 2 / 3, 1 - 1 / 3, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(result_families(), st.integers(0, 3), st.sampled_from(EXACT_TAUS) | st.floats(0.0, 1.0),
+       st.integers(1, 6), st.sampled_from([0.5, 0.9, 0.95]), st.data())
+def test_max_cover_matches_the_one_candidate_loop(case, empties, tau, n, alpha, data):
+    """Max-cover over the dense ``within`` matrix and its updated gains picks the results the
+    one-candidate loop picks, with the same tau, phi and support, also with the empty result
+    repeated (as ``random_pr`` lists make it)."""
+    pr = list(case[0])
+    for _ in range(empties):
+        pr.insert(data.draw(st.integers(0, len(pr))),
+                  PossibleResult(ResultSet(()), data.draw(st.integers(1, 500))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the normal-approximation warning of small supports
+        assert max_cover_representatives(pr, tau, n, alpha) == _reference_max_cover(
+            pr, tau, n, alpha)

@@ -10,8 +10,10 @@ reference's trajectories give.
 import copy
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -316,3 +318,49 @@ def test_flagged_valid_file_is_reread_into_the_same_dataset(fixture, monkeypatch
     assert "query" in vars(reread)
     assert reread == screened  # the same timestamps, ids and tables
     assert (reread.query, reread.objects) == (screened.query, screened.objects)
+
+
+def _from_arrays_tables(doc):
+    """Per timestamp, ``InstanceTable.from_arrays`` over the records' raw values, query first."""
+    records = _records(doc)
+    ids = [rec["id"] for rec in records]
+    tables = {}
+    for t in sorted(doc["timestamps"]):
+        alts = [rec["per_timestamp"][str(t)] for rec in records]
+        flat = [json_xyp(alt) for block in alts for alt in block]
+        tables[t] = InstanceTable.from_arrays(
+            ids, np.array([(x, y) for x, y, _ in flat], dtype=float).reshape(-1, 2),
+            np.array([p for _, _, p in flat], dtype=float), [len(block) for block in alts])
+    return tables
+
+
+EDGE_DOC = {  # ids out of order; sums at 1 - PROB_TOL and just inside 1 + PROB_TOL
+    "timestamps": [3, 1],
+    "query": {"id": "q", "per_timestamp": {
+        "1": [{"x": 0, "y": 0, "p": 1.0 - PROB_TOL}],
+        "3": [{"x": 1, "y": 0, "p": 0.5}, {"x": 0, "y": 2, "p": 0.5}]}},
+    "objects": [
+        {"id": "b", "per_timestamp": {
+            "1": [{"x": 2, "y": 1, "p": 0.25}, {"x": 3, "y": 1, "p": 0.75}],
+            "3": [{"x": 2, "y": 2, "p": math.nextafter(1.0 + PROB_TOL, 0.0)}]}},
+        {"id": "a", "per_timestamp": {
+            "1": [{"x": 5, "y": 5, "p": math.nextafter(1.0 - PROB_TOL, 2.0)}],
+            "3": [{"x": 1, "y": 1, "p": 1}]}},
+    ],
+}
+
+
+@pytest.mark.parametrize("text", [(FIXTURES / f).read_text() for f in TRAJECTORY_FIXTURES]
+                         + [json.dumps(EDGE_DOC)])
+def test_screened_tables_equal_from_arrays_field_for_field(text):
+    """The screen fills each timestamp's table with one id order and the sums it took; every
+    field equals, dtype and all, what ``InstanceTable.from_arrays`` gives that timestamp."""
+    ds = loads_trajectory_dataset(text)
+    assert "query" not in vars(ds)
+    want = _from_arrays_tables(json.loads(text))
+    assert list(ds.tables) == list(want)
+    for t, table in ds.tables.items():
+        for f in fields(InstanceTable):
+            got, ref = getattr(table, f.name), getattr(want[t], f.name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, (t, f.name)
+            assert np.array_equal(got, ref), (t, f.name)
